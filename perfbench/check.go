@@ -61,6 +61,9 @@ func (b *bench) check(res *result, s summary) []string {
 			fail("output digest %016x, pinned %016x for seed 1", got, want)
 		}
 	}
+	if p := checkRepeats(res); p != "" {
+		fail("%s", p)
+	}
 	for i, pd := range res.passDigests {
 		if pd != res.passDigests[0] {
 			fail("stream pass %d digest %016x differs from pass 0's %016x", i, pd, res.passDigests[0])
@@ -75,6 +78,19 @@ func (b *bench) check(res *result, s summary) []string {
 	}
 	problems = append(problems, b.checkReference(res)...)
 	return problems
+}
+
+// checkRepeats requires every scan op past the first pass to repeat, bit for
+// bit, the probability its first-pass twin got for the same sequence, and
+// describes the first that does not.
+func checkRepeats(res *result) string {
+	for _, r := range res.repeats {
+		first := res.outs[r.op%scanSeqs]
+		if !first.done || math.Float64bits(first.prob) != math.Float64bits(r.prob) {
+			return fmt.Sprintf("scan op %d probability %v, op %d on the same sequence %v", r.op, r.prob, first.op, first.prob)
+		}
+	}
+	return ""
 }
 
 // checkReference re-classifies the digest's ops and a seeded sample of the

@@ -19,6 +19,10 @@
 // --trace 0 prints the end-to-end metrics; --trace 1 runs the same workload
 // with spans recorded around every layer call, then the serialized ladder,
 // and prints the per-layer metrics. Spans are written to --spans-dir.
+//
+// Timed end-to-end metrics are scaled to the speed of the host the
+// benchmark was tuned on, by a speed probe run alongside the ops (see
+// speed.go); the unscaled figures are printed before the JSON line.
 package main
 
 import (
@@ -54,6 +58,10 @@ var workloads = []string{"live", "scan", "stream", "blackout"}
 // start): on a shared 2-vCPU host, CPU steal moved the wall-clock median by
 // up to half while the CPU-time median moved by under a tenth.
 const setupRuns = 9
+
+// setupProbeBursts is how many speed-probe bursts follow each set-up; their
+// median scales set-up time.
+const setupProbeBursts = 20
 
 type options struct {
 	workload string
@@ -212,6 +220,8 @@ func (b *bench) timed() (*result, error) {
 	ctx := context.Background()
 	dur := time.Duration(b.o.seconds * float64(time.Second))
 	t0 := b.st.traffic()
+	probe := newSpeedProbe()
+	probe.start()
 	rt0, cpu0 := readRuntime(), cpuTime()
 	b.rec.start()
 	var res *result
@@ -227,10 +237,13 @@ func (b *bench) timed() (*result, error) {
 		res, err = b.runStream(ctx, dur)
 	}
 	b.rec.stop()
+	probe.finish()
 	if err != nil {
 		return nil, err
 	}
-	res.cpu = cpuTime() - cpu0
+	// The probe's own CPU time is not the program's.
+	res.cpu = cpuTime() - cpu0 - probe.busy
+	res.probe = probe
 	res.rt0, res.rt1 = rt0, readRuntime()
 	t1 := b.st.traffic()
 	res.traffic = csd.Traffic{HostBytes: t1.HostBytes - t0.HostBytes, P2PBytes: t1.P2PBytes - t0.P2PBytes}
@@ -280,6 +293,7 @@ func measure(o options, start origin) (*report, error) {
 	}
 	var setups, setupCPU []float64
 	var b *bench
+	setupProbe := newSpeedProbe()
 	for i := 0; i < setupRuns; i++ {
 		t0, c0 := time.Now(), cpuTime()
 		if i == 0 {
@@ -294,6 +308,7 @@ func measure(o options, start origin) (*report, error) {
 		}
 		setups = append(setups, time.Since(t0).Seconds())
 		setupCPU = append(setupCPU, (cpuTime() - c0).Seconds())
+		setupProbe.sample(setupProbeBursts)
 		if b != nil {
 			b.st.close()
 		}
@@ -311,7 +326,7 @@ func measure(o options, start origin) (*report, error) {
 	rep := &report{Metrics: map[string]metric{}}
 	rep.note("workload %s seed %d: %.1f s measured, setup runs %v s wall, %v s CPU", o.workload, o.seed,
 		res.elapsed.Seconds(), roundAll(setups), roundAll(setupCPU))
-	e2e := endToEnd(o, res, setupCPU, rep)
+	e2e := endToEnd(o, res, setupCPU, setupProbe, rep)
 	problems := b.check(res, e2e)
 	for _, p := range problems {
 		rep.note("CHECK FAILED: %s", p)

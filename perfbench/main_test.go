@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -86,6 +87,23 @@ func TestPerturbedDigestFailsTheOutputCheck(t *testing.T) {
 	}
 }
 
+func TestScanRepeatsMustMatchTheFirstPass(t *testing.T) {
+	res := &result{outs: make([]outcome, scanSeqs)}
+	for i := range res.outs {
+		res.outs[i] = outcome{op: int64(i), done: true, prob: float64(i) / scanSeqs}
+	}
+	for op := int64(scanSeqs); op < 3*scanSeqs; op++ {
+		res.repeats = append(res.repeats, repeat{op: op, prob: float64(op%scanSeqs) / scanSeqs})
+	}
+	if p := checkRepeats(res); p != "" {
+		t.Fatalf("faithful repeats failed the check: %s", p)
+	}
+	res.repeats[700].prob = math.Nextafter(res.repeats[700].prob, 1)
+	if p := checkRepeats(res); !strings.Contains(p, "scan op 1212 ") {
+		t.Fatalf("a repeat one ulp off passed or was misreported: %q", p)
+	}
+}
+
 func TestSegmentedFiguresAreMediansOfSegments(t *testing.T) {
 	res := &result{}
 	// Five one-second segments; the third holds a burst that is slow and
@@ -112,3 +130,22 @@ func TestSegmentedFiguresAreMediansOfSegments(t *testing.T) {
 }
 
 func msDur(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
+
+func TestSpeedProbeScalesToTheReferenceHost(t *testing.T) {
+	var p speedProbe
+	if k := p.scale(); k != 1 {
+		t.Fatalf("scale with no bursts = %v, want 1", k)
+	}
+	// A host at half the reference speed: bursts take twice as long.
+	p.samples = []float64{2 * probeRefNS, 1.5 * probeRefNS, 2 * probeRefNS, 9 * probeRefNS, 2 * probeRefNS}
+	if k := p.scale(); k != 0.5 {
+		t.Fatalf("scale = %v, want 0.5 (the median burst is twice the reference)", k)
+	}
+	p = *newSpeedProbe()
+	p.start()
+	time.Sleep(5 * probeEvery)
+	p.finish()
+	if len(p.samples) == 0 || p.medianNS() <= 0 {
+		t.Fatalf("probe ran %d bursts, median %v ns", len(p.samples), p.medianNS())
+	}
+}

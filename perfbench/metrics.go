@@ -17,13 +17,15 @@ type summary struct {
 
 // endToEnd sets the end-to-end metrics: host time throughout, except the
 // simulated time per item, which is checked rather than reported. setups
-// holds the CPU seconds of each set-up.
-func endToEnd(o options, res *result, setups []float64, rep *report) summary {
+// holds the CPU seconds of each set-up, and setupProbe the speed probe run
+// between them. Timed metrics are scaled to the reference host's speed.
+func endToEnd(o options, res *result, setups []float64, setupProbe *speedProbe, rep *report) summary {
 	s := summary{refusals: map[string]int64{}}
 	if o.workload == "stream" {
 		s.attempted, s.completed = res.windows, res.windows
 	} else {
-		s.attempted = int64(len(res.outs))
+		s.attempted = int64(len(res.outs) + len(res.repeats))
+		s.completed = int64(len(res.repeats))
 		for _, out := range res.outs {
 			if out.done {
 				s.completed++
@@ -45,21 +47,26 @@ func endToEnd(o options, res *result, setups []float64, rep *report) summary {
 	dur := time.Duration(o.seconds * float64(time.Second))
 	p50, seg50 := segmented(res, dur, 0.50)
 	p99, seg99 := segmented(res, dur, 0.99)
-	rep.set("setup_s", median(setups), "s")
-	rep.set("latency_p50_ms", p50, "ms")
 	rate, segRate := segmentedRate(res, dur)
-	rep.set("throughput_per_s", rate, "1/s")
-	rep.set("cpu_us_per_window", res.cpu.Seconds()*1e6/float64(res.windows), "us")
+	cpuPerWindow := res.cpu.Seconds() * 1e6 / float64(res.windows)
+	k, ks := res.probe.scale(), setupProbe.scale()
+	rep.set("setup_s", median(setups)*ks, "s")
+	rep.set("latency_p50_ms", p50*k, "ms")
+	rep.set("cpu_us_per_window", cpuPerWindow*k, "us")
 	rep.set("peak_rss_mb", peakRSSMB(), "MB")
 	rep.set("completed_share", float64(s.completed)/float64(s.attempted), "ratio")
 
+	rep.note("speed probe: median %.0f ns over %d bursts in the run (scale %.4f), %.0f ns over %d in set-up (scale %.4f); reference %d ns",
+		res.probe.medianNS(), len(res.probe.samples), k, setupProbe.medianNS(), len(setupProbe.samples), ks, probeRefNS)
+	rep.note("unscaled: setup_s %.6f latency_p50_ms %.6f cpu_us_per_window %.3f",
+		median(setups), p50, cpuPerWindow)
 	rep.note("samples: %d latencies in %d segments, %d windows, %d ops counted for throughput",
 		len(lat), segments, res.windows, res.ops)
 	rep.note("latency_p99_ms %.4f (median of segments; per-layer only, see BENCHMARK.json)", p99)
 	rep.note("latency by segment: p50 %v ms, p99 %v ms; whole run p50 %.3f ms, p99 %.3f ms",
 		roundAll(seg50), roundAll(seg99), quantile(lat, 0.5), quantile(lat, 0.99))
-	rep.note("throughput by segment: %v /s; whole run %.1f /s", roundAll(segRate),
-		float64(res.ops)/res.elapsed.Seconds())
+	rep.note("throughput %.1f /s (median of segments; per-layer only, see BENCHMARK.json); by segment %v /s; whole run %.1f /s",
+		rate, roundAll(segRate), float64(res.ops)/res.elapsed.Seconds())
 	rep.note("completed %d of %d attempted; failed %d; refusals by sentinel: %s",
 		s.completed, s.attempted, s.failed, formatCounts(s.refusals))
 	rep.note("sim_us_per_item %.6f us (simulated device time, Table I: 2.2)", s.simUSPerItem)
@@ -232,8 +239,12 @@ func (b *bench) perLayer(res *result, rep *report) error {
 
 	rep.set("runtime.allocs_per_window", float64(res.rt1.allocs-res.rt0.allocs)/w, "count")
 	rep.set("runtime.gc_cpu_share", (res.rt1.gcCPU-res.rt0.gcCPU)/(res.rt1.totalCPU-res.rt0.totalCPU), "ratio")
-	p99, _ := segmented(res, time.Duration(b.o.seconds*float64(time.Second)), 0.99)
+	dur := time.Duration(b.o.seconds * float64(time.Second))
+	p99, _ := segmented(res, dur, 0.99)
 	rep.set("bench.latency_p99_ms", p99, "ms")
+	rate, _ := segmentedRate(res, dur)
+	rep.set("bench.throughput_per_s", rate, "1/s")
+	rep.set("bench.speed_probe_ns", res.probe.medianNS(), "ns")
 	rep.set("gen.lateness_p99_us", quantile(durationsUS(res.lateness), 0.99), "us")
 	var timedCalls int64
 	if b.o.workload == "stream" {

@@ -41,9 +41,15 @@ type outcome struct {
 	err    error
 }
 
+// repeat is a completed scan op past the first pass.
+type repeat struct {
+	op   int64
+	prob float64
+}
+
 // result is what one timed run produced.
 type result struct {
-	outs     []outcome // in generation order (stream: the first pass's windows)
+	outs     []outcome // in generation order (stream: the first pass's windows; scan: the first pass, then failed ops)
 	ops      int64     // throughput units: requests, scans or API calls
 	windows  int64     // classifications over the whole run
 	elapsed  time.Duration
@@ -56,11 +62,15 @@ type result struct {
 	offered  int64           // open loop: ops scheduled
 	lastAt   time.Duration   // open loop: intended time of the last op
 	cpu      time.Duration
+	probe    *speedProbe // run alongside the timed ops
 	rt0, rt1 runtimeSample
 	traffic  csd.Traffic // bytes moved during the run
 
 	// Simulated device time summed over every completed classification.
 	simTransfer, simCompute time.Duration
+
+	// scan only: completed ops past the first pass over the stored set
+	repeats []repeat
 
 	// stream only
 	passes       int
@@ -206,22 +216,26 @@ func (b *bench) runOpen(ctx context.Context, ops []liveOp, dur time.Duration, ch
 
 // runScan drives scanCallers closed-loop callers over the stored set until
 // dur has passed. Ops are numbered as callers take them, so op i always
-// scans the same sequence.
+// scans the same sequence as op i mod scanSeqs. Only the first pass over the
+// set and failed ops keep whole outcomes; a later op keeps its probability,
+// which the check requires to equal the first pass's, so the benchmark's
+// own memory barely grows with the program's speed.
 func (b *bench) runScan(ctx context.Context, dur time.Duration) (*result, error) {
 	set := b.scan
+	pass := int64(len(set.order))
 	var next atomic.Int64
 	var mu sync.Mutex
 	var outs []outcome
 	var wg sync.WaitGroup
-	start := time.Now()
+	res := &result{start: time.Now()}
+	start := res.start
 	for c := 0; c < scanCallers; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var mine []outcome
 			for time.Since(start) < dur {
 				i := next.Add(1) - 1
-				j := set.order[int(i)%len(set.order)]
+				j := set.order[i%pass]
 				octx := withOp(ctx, i)
 				t0 := time.Now()
 				p, s0 := b.rec.on(), b.rec.now()
@@ -229,22 +243,33 @@ func (b *bench) runScan(ctx context.Context, dur time.Duration) (*result, error)
 				if p {
 					b.rec.add(octx, layerFleet, s0)
 				}
-				mine = append(mine, outcome{op: i, seq: set.seqs[j], label: set.labels[j],
-					done: err == nil, prob: r.Probability, timing: tm, at: t0.Sub(start), lat: time.Since(t0), err: err})
+				lat := time.Since(t0)
+				mu.Lock()
+				if err == nil {
+					res.lat, res.latAt = append(res.lat, lat), append(res.latAt, t0.Sub(start))
+					res.work = append(res.work, 1)
+					res.addSim(tm)
+				}
+				if err == nil && i >= pass {
+					res.repeats = append(res.repeats, repeat{op: i, prob: r.Probability})
+				} else {
+					outs = append(outs, outcome{op: i, seq: set.seqs[j], label: set.labels[j],
+						done: err == nil, prob: r.Probability, timing: tm, at: t0.Sub(start), lat: lat, err: err})
+				}
+				mu.Unlock()
 			}
-			mu.Lock()
-			outs = append(outs, mine...)
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	res := &result{elapsed: time.Since(start), start: start, outs: make([]outcome, len(outs))}
+	res.elapsed = time.Since(start)
+	// Every op taken ran: the first pass fills its indices, and failed
+	// later ops follow it.
+	res.outs = make([]outcome, min(next.Load(), pass))
 	for _, o := range outs {
-		res.outs[o.op] = o
-		if o.done {
-			res.lat, res.latAt = append(res.lat, o.lat), append(res.latAt, o.at)
-			res.work = append(res.work, 1)
-			res.addSim(o.timing)
+		if o.op < pass {
+			res.outs[o.op] = o
+		} else {
+			res.outs = append(res.outs, o)
 		}
 	}
 	res.ops, res.windows = int64(len(res.lat)), int64(len(res.lat))
