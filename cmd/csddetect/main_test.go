@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/kfrida1/csdinf/internal/dataset"
@@ -22,35 +24,67 @@ import (
 	"github.com/kfrida1/csdinf/internal/train"
 )
 
-// trainedWeights quick-trains a small model and exports it for the CLI.
+// The package's tests share one trained-weights file in weightsDir.
+var (
+	weightsDir  string
+	weightsOnce sync.Once
+	weightsPath string
+	weightsErr  error
+)
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "csddetect-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	weightsDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// trainedWeights quick-trains a small model and exports it for the CLI. The
+// model is seeded, so it is trained once per test binary and every test
+// reads the same file.
 func trainedWeights(t *testing.T) string {
 	t.Helper()
+	weightsOnce.Do(func() {
+		weightsPath = filepath.Join(weightsDir, "w.txt")
+		weightsErr = writeTrainedWeights(weightsPath)
+	})
+	if weightsErr != nil {
+		t.Fatal(weightsErr)
+	}
+	return weightsPath
+}
+
+func writeTrainedWeights(path string) error {
 	ds, err := dataset.Build(dataset.BuildConfig{
 		RansomwareCount: 456, BenignCount: 465, Seed: 1,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	trainDS, testDS, err := ds.Split(0.2, 2)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	res, err := train.Train(trainDS, testDS, train.Config{
 		Epochs: 8, Seed: 3, TargetAccuracy: 0.95,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	path := filepath.Join(t.TempDir(), "w.txt")
 	f, err := os.Create(path)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	defer f.Close()
 	if err := res.Model.WriteText(f); err != nil {
-		t.Fatal(err)
+		f.Close()
+		return err
 	}
-	return path
+	return f.Close()
 }
 
 func TestDetectEndToEnd(t *testing.T) {

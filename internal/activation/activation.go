@@ -104,19 +104,42 @@ func SoftsignF(x float64) float64 {
 
 // Fixed evaluates activations in fixed-point arithmetic. It is the form the
 // FPGA kernels execute. Fixed is immutable and safe for concurrent use.
+//
+// The PLAN segment bounds and coefficients are quantized once, in NewFixed,
+// rather than on every call; the methods take a pointer receiver so the
+// constants are not copied per call either.
 type Fixed struct {
 	a fixed.Arith
+
+	// PLAN constants at a's scale: segment bounds 5 and 2.375, and the
+	// slope/intercept pair of each linear segment.
+	five, bound2375 fixed.Value
+	slope3, icept3  fixed.Value // 2.375 <= |x| < 5
+	slope2, icept2  fixed.Value // 1 <= |x| < 2.375
+	slope1, icept1  fixed.Value // 0 <= |x| < 1
+	two             fixed.Value // Tanh's 2
 }
 
 // NewFixed returns a fixed-point activation evaluator over arith a.
 func NewFixed(a fixed.Arith) Fixed {
-	return Fixed{a: a}
+	return Fixed{
+		a:         a,
+		five:      a.FromInt(5),
+		bound2375: a.FromFloat(2.375),
+		slope3:    a.FromFloat(0.03125),
+		icept3:    a.FromFloat(0.84375),
+		slope2:    a.FromFloat(0.125),
+		icept2:    a.FromFloat(0.625),
+		slope1:    a.FromFloat(0.25),
+		icept1:    a.FromFloat(0.5),
+		two:       a.FromInt(2),
+	}
 }
 
 // Softsign computes x/(|x|+1) exactly in fixed point:
 // (x*S) / (|x| + S) with rounding, where S is the scale. No approximation is
 // involved; this is why the paper prefers softsign on hardware.
-func (f Fixed) Softsign(x fixed.Value) fixed.Value {
+func (f *Fixed) Softsign(x fixed.Value) fixed.Value {
 	den := f.a.Add(f.a.Abs(x), f.a.One())
 	// den >= S > 0, so Div cannot fail; compute directly to stay in the
 	// single-rounding regime.
@@ -139,20 +162,20 @@ func (f Fixed) Softsign(x fixed.Value) fixed.Value {
 // with sigmoid(-x) = 1 - sigmoid(x). Maximum absolute error is below 0.019,
 // which is immaterial next to the gate saturation behaviour the LSTM relies
 // on.
-func (f Fixed) Sigmoid(x fixed.Value) fixed.Value {
+func (f *Fixed) Sigmoid(x fixed.Value) fixed.Value {
 	neg := x < 0
 	ax := f.a.Abs(x)
 	one := f.a.One()
 	var y fixed.Value
 	switch {
-	case ax >= f.a.FromInt(5):
+	case ax >= f.five:
 		y = one
-	case ax >= f.a.FromFloat(2.375):
-		y = f.a.Add(f.a.Mul(f.a.FromFloat(0.03125), ax), f.a.FromFloat(0.84375))
+	case ax >= f.bound2375:
+		y = f.a.Add(f.a.Mul(f.slope3, ax), f.icept3)
 	case ax >= one:
-		y = f.a.Add(f.a.Mul(f.a.FromFloat(0.125), ax), f.a.FromFloat(0.625))
+		y = f.a.Add(f.a.Mul(f.slope2, ax), f.icept2)
 	default:
-		y = f.a.Add(f.a.Mul(f.a.FromFloat(0.25), ax), f.a.FromFloat(0.5))
+		y = f.a.Add(f.a.Mul(f.slope1, ax), f.icept1)
 	}
 	if neg {
 		return f.a.Sub(one, y)
@@ -163,13 +186,12 @@ func (f Fixed) Sigmoid(x fixed.Value) fixed.Value {
 // Tanh approximates tanh via the identity tanh(x) = 2*sigmoid(2x) - 1 on top
 // of the PLAN sigmoid. It exists for the activation ablation; the production
 // kernels use Softsign instead, per the paper.
-func (f Fixed) Tanh(x fixed.Value) fixed.Value {
-	two := f.a.FromInt(2)
-	return f.a.Sub(f.a.Mul(two, f.Sigmoid(f.a.Mul(two, x))), f.a.One())
+func (f *Fixed) Tanh(x fixed.Value) fixed.Value {
+	return f.a.Sub(f.a.Mul(f.two, f.Sigmoid(f.a.Mul(f.two, x))), f.a.One())
 }
 
 // Apply evaluates kind k at x. Identity returns x unchanged.
-func (f Fixed) Apply(k Kind, x fixed.Value) (fixed.Value, error) {
+func (f *Fixed) Apply(k Kind, x fixed.Value) (fixed.Value, error) {
 	switch k {
 	case Sigmoid:
 		return f.Sigmoid(x), nil

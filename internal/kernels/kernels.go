@@ -104,10 +104,15 @@ type Pipeline struct {
 	// Quantized parameters (LevelFixedPoint only).
 	qEmbed [][]fixed.Value    // M rows of O values
 	qWx    [4][][]fixed.Value // per gate: H rows of O values
-	qWh    [4][][]fixed.Value // per gate: H rows of H values
+	qWh    [4][][]fixed.Value // per gate: H rows of H values, views into whAll
 	qB     [4][]fixed.Value
 	qFCW   []fixed.Value
 	qFCB   fixed.Value
+
+	// Fast LevelFixedPoint datapath (see stepFixed).
+	whAll    []fixed.Value   // the four gates' Wh stacked row-major: 4H rows of H
+	xProj    [][]fixed.Value // per item, nil until first use: 4H input projections
+	projFree []fixed.Value   // unused tail of the slab xProj rows are cut from
 
 	// Narrow-scale parameters (LevelMixed only; see mixed.go).
 	nEmbed [][]fixed.Value
@@ -118,7 +123,16 @@ type Pipeline struct {
 	seqLen  int
 	counter int
 	hF, cF  tensor.Vector // float state (Vanilla / II)
-	hQ, cQ  []fixed.Value // fixed state (FixedPoint)
+	hQ, cQ  []fixed.Value // fixed state (FixedPoint / Mixed)
+
+	// Per-item scratch, allocated once so a step allocates nothing.
+	gateQ   []fixed.Value         // 4H gate pre-activations, then outputs (i, f, o, C')
+	hNarrow []fixed.Value         // h(t-1) at the narrow scale (Mixed)
+	xF      tensor.Vector         // embedding (Vanilla / II)
+	gateF   [4]tensor.Vector      // gate outputs (Vanilla / II)
+	preF    tensor.Vector         // one gate's pre-activation (Vanilla / II)
+	whF     tensor.Vector         // one gate's Wh·h (Vanilla / II)
+	cellAct func(float64) float64 // the model's cell activation (Vanilla / II)
 }
 
 // Config describes pipeline deployment.
@@ -229,8 +243,39 @@ func New(m *lstm.Model, cfg Config) (*Pipeline, error) {
 	case LevelMixed:
 		p.quantizeNarrow()
 	}
-	p.Reset()
+	if err := p.allocState(); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// allocState allocates the recurrent state and the per-item scratch of the
+// pipeline's level once, so that stepping allocates nothing.
+func (p *Pipeline) allocState() error {
+	h := p.cfg.HiddenSize
+	if p.level >= LevelFixedPoint {
+		p.hQ = make([]fixed.Value, h)
+		p.cQ = make([]fixed.Value, h)
+		p.gateQ = make([]fixed.Value, 4*h)
+		if p.level == LevelMixed {
+			p.hNarrow = make([]fixed.Value, h)
+		}
+		return nil
+	}
+	cellAct, err := p.cfg.CellActivation.Func()
+	if err != nil {
+		return fmt.Errorf("kernels: %w", err)
+	}
+	p.cellAct = cellAct
+	p.hF = tensor.NewVector(h)
+	p.cF = tensor.NewVector(h)
+	p.xF = tensor.NewVector(p.cfg.EmbedDim)
+	for g := range p.gateF {
+		p.gateF[g] = tensor.NewVector(h)
+	}
+	p.preF = tensor.NewVector(h)
+	p.whF = tensor.NewVector(h)
+	return nil
 }
 
 // quantize converts all model parameters to fixed point, the host-side
@@ -243,29 +288,31 @@ func (p *Pipeline) quantize() {
 	for i := range p.qEmbed {
 		p.qEmbed[i] = p.arith.QuantizeSlice(m.Embedding.Row(i))
 	}
+	h := cfg.HiddenSize
+	p.whAll = make([]fixed.Value, 0, 4*h*h)
 	for g := range m.Gates {
-		p.qWx[g] = make([][]fixed.Value, cfg.HiddenSize)
-		p.qWh[g] = make([][]fixed.Value, cfg.HiddenSize)
-		for r := 0; r < cfg.HiddenSize; r++ {
+		p.qWx[g] = make([][]fixed.Value, h)
+		p.qWh[g] = make([][]fixed.Value, h)
+		for r := 0; r < h; r++ {
 			p.qWx[g][r] = p.arith.QuantizeSlice(m.Gates[g].Wx.Row(r))
-			p.qWh[g][r] = p.arith.QuantizeSlice(m.Gates[g].Wh.Row(r))
+			start := len(p.whAll)
+			p.whAll = append(p.whAll, p.arith.QuantizeSlice(m.Gates[g].Wh.Row(r))...)
+			p.qWh[g][r] = p.whAll[start:len(p.whAll):len(p.whAll)]
 		}
 		p.qB[g] = p.arith.QuantizeSlice(m.Gates[g].B)
 	}
 	p.qFCW = p.arith.QuantizeSlice(m.FCW)
 	p.qFCB = p.arith.FromFloat(m.FCB)
+	p.xProj = make([][]fixed.Value, cfg.VocabSize)
 }
 
 // Reset clears the recurrent state and item counter for a new sequence.
 func (p *Pipeline) Reset() {
 	p.counter = 0
-	if p.level >= LevelFixedPoint {
-		p.hQ = make([]fixed.Value, p.cfg.HiddenSize)
-		p.cQ = make([]fixed.Value, p.cfg.HiddenSize)
-	} else {
-		p.hF = tensor.NewVector(p.cfg.HiddenSize)
-		p.cF = tensor.NewVector(p.cfg.HiddenSize)
-	}
+	clear(p.hQ)
+	clear(p.cQ)
+	clear(p.hF)
+	clear(p.cF)
 }
 
 // Level returns the pipeline's optimization level.
@@ -352,48 +399,38 @@ func (p *Pipeline) Classify(seq []int) (Result, int64, error) {
 // The arithmetic is identical to the offline model's forward pass; only the
 // schedule differs between the two levels.
 func (p *Pipeline) stepFloat(item int) (Result, bool, error) {
-	cfg := p.cfg
 	m := p.model
 
 	// kernel_preprocess: embedding via one-hot dot product, copied 4×.
-	x := tensor.NewVector(cfg.EmbedDim)
+	x := p.xF
 	if err := m.Embed(item, x); err != nil {
-		return Result{}, false, err
-	}
-
-	cellAct, err := cfg.CellActivation.Func()
-	if err != nil {
 		return Result{}, false, err
 	}
 
 	// Four kernel_gates CUs in parallel, each with its own copies of x and
 	// h(t-1).
-	var gates [4]tensor.Vector
-	for g := 0; g < 4; g++ {
-		out := tensor.NewVector(cfg.HiddenSize)
-		pre := tensor.NewVector(cfg.HiddenSize)
-		tmp := tensor.NewVector(cfg.HiddenSize)
+	pre, wh := p.preF, p.whF
+	for g, out := range p.gateF {
 		m.Gates[g].Wx.MulVec(pre, x)
-		m.Gates[g].Wh.MulVec(tmp, p.hF)
-		pre.Add(tmp)
+		m.Gates[g].Wh.MulVec(wh, p.hF)
+		pre.Add(wh)
 		pre.Add(m.Gates[g].B)
 		if lstm.GateName(g+1) == lstm.GateCandidate {
 			for i, v := range pre {
-				out[i] = cellAct(v)
+				out[i] = p.cellAct(v)
 			}
 		} else {
 			for i, v := range pre {
 				out[i] = activation.SigmoidF(v)
 			}
 		}
-		gates[g] = out
 	}
 
 	// kernel_hidden_state: cell update, activation, output gate, counter.
-	i, f, o, cand := gates[0], gates[1], gates[2], gates[3]
-	for k := 0; k < cfg.HiddenSize; k++ {
+	i, f, o, cand := p.gateF[0], p.gateF[1], p.gateF[2], p.gateF[3]
+	for k := range p.cF {
 		p.cF[k] = f[k]*p.cF[k] + i[k]*cand[k]
-		p.hF[k] = o[k] * cellAct(p.cF[k])
+		p.hF[k] = o[k] * p.cellAct(p.cF[k])
 	}
 	p.counter++
 	if p.counter < p.seqLen {
@@ -405,41 +442,109 @@ func (p *Pipeline) stepFloat(item int) (Result, bool, error) {
 
 // stepFixed executes one item entirely in scale-10⁶ fixed point — the
 // arithmetic the FPGA DSP slices perform at LevelFixedPoint.
+//
+// It computes exactly what stepFixedProbed, the per-gate reference, computes
+// — Dot(Wx,x) + Dot(Wh,h) + b per gate row, each Dot rounded once — but only
+// the arithmetic that depends on h(t-1) runs per item. Dot(Wx,x) + b depends
+// on the item alone and comes from the inputProjection table. The four
+// gates' Wh·h run as one fused 4H×H pass over whAll. int64 addition wraps,
+// and wrapping addition is associative, so moving b ahead of the Wh term
+// leaves every bit unchanged even when a stage overflows.
 func (p *Pipeline) stepFixed(item int) (Result, bool) {
 	if p.probe != nil {
 		return p.stepFixedProbed(item)
 	}
-	cfg := p.cfg
-	x := p.qEmbed[item]
+	n := p.cfg.HiddenSize
+	pre := p.gateQ
+	copy(pre, p.inputProjection(item))
 
-	var gates [4][]fixed.Value
-	for g := 0; g < 4; g++ {
-		out := make([]fixed.Value, cfg.HiddenSize)
-		for r := 0; r < cfg.HiddenSize; r++ {
-			pre := p.arith.Dot(p.qWx[g][r], x)
-			pre = p.arith.Add(pre, p.arith.Dot(p.qWh[g][r], p.hQ))
-			pre = p.arith.Add(pre, p.qB[g][r])
-			if lstm.GateName(g+1) == lstm.GateCandidate {
-				out[r] = p.fact.Softsign(pre)
-			} else {
-				out[r] = p.fact.Sigmoid(pre)
-			}
-		}
-		gates[g] = out
+	// Fused Wh·h: four weight rows per pass share each h[k] load.
+	for r := 0; r+4 <= len(pre); r += 4 {
+		a0, a1, a2, a3 := mac4(p.whAll[r*n:(r+4)*n], p.hQ)
+		out := pre[r : r+4 : r+4]
+		out[0] = p.arith.Add(out[0], p.arith.FromRaw(a0))
+		out[1] = p.arith.Add(out[1], p.arith.FromRaw(a1))
+		out[2] = p.arith.Add(out[2], p.arith.FromRaw(a2))
+		out[3] = p.arith.Add(out[3], p.arith.FromRaw(a3))
 	}
 
-	i, f, o, cand := gates[0], gates[1], gates[2], gates[3]
-	for k := 0; k < cfg.HiddenSize; k++ {
-		p.cQ[k] = p.arith.Add(p.arith.Mul(f[k], p.cQ[k]), p.arith.Mul(i[k], cand[k]))
-		p.hQ[k] = p.arith.Mul(o[k], p.fact.Softsign(p.cQ[k]))
+	// Gates in canonical order i, f, o, C': sigmoid on the first three,
+	// softsign on the candidate.
+	sig, cand := pre[:3*n], pre[3*n:]
+	for r, v := range sig {
+		sig[r] = p.fact.Sigmoid(v)
 	}
+	for r, v := range cand {
+		cand[r] = p.fact.Softsign(v)
+	}
+	p.cellUpdate()
 	p.counter++
 	if p.counter < p.seqLen {
 		return Result{}, false
 	}
+	return p.fixedHead(), true
+}
+
+// mac4 returns the raw scale-S² dot products of h with each of the four
+// consecutive len(h)-long rows in rows: the accumulators Dot holds before its
+// rescale. It is a separate function so its loop keeps all four accumulators
+// in registers.
+func mac4(rows, h []fixed.Value) (a0, a1, a2, a3 fixed.Value) {
+	n := len(h)
+	w0, w1, w2, w3 := rows[:n], rows[n:][:n], rows[2*n:][:n], rows[3*n:][:n]
+	for k, hk := range h {
+		a0 += w0[k] * hk //csdlint:allow fixedwidth raw MAC; rescaled once by FromRaw, as Dot does
+		a1 += w1[k] * hk //csdlint:allow fixedwidth raw MAC; rescaled once by FromRaw, as Dot does
+		a2 += w2[k] * hk //csdlint:allow fixedwidth raw MAC; rescaled once by FromRaw, as Dot does
+		a3 += w3[k] * hk //csdlint:allow fixedwidth raw MAC; rescaled once by FromRaw, as Dot does
+	}
+	return a0, a1, a2, a3
+}
+
+// projSlabRows is how many input-projection rows one allocation holds.
+const projSlabRows = 16
+
+// inputProjection returns item's row of the input-projection table:
+// Dot(qWx[g][r], qEmbed[item]) + qB[g][r] at index g·H+r. A row is computed on
+// the item's first use and cut from a slab, so a pipeline only holds rows for
+// the items it has seen.
+func (p *Pipeline) inputProjection(item int) []fixed.Value {
+	if row := p.xProj[item]; row != nil {
+		return row
+	}
+	n := p.cfg.HiddenSize
+	if len(p.projFree) < 4*n {
+		p.projFree = make([]fixed.Value, projSlabRows*4*n)
+	}
+	row := p.projFree[: 4*n : 4*n]
+	p.projFree = p.projFree[4*n:]
+	x := p.qEmbed[item]
+	for g := range p.qWx {
+		for r, wx := range p.qWx[g] {
+			row[g*n+r] = p.arith.Add(p.arith.Dot(wx, x), p.qB[g][r])
+		}
+	}
+	p.xProj[item] = row
+	return row
+}
+
+// cellUpdate is kernel_hidden_state at the fixed-point levels: it folds the
+// activated gates in gateQ into the cell and hidden state.
+func (p *Pipeline) cellUpdate() {
+	n := p.cfg.HiddenSize
+	g := p.gateQ
+	i, f, o, cand := g[:n], g[n:2*n], g[2*n:3*n], g[3*n:4*n]
+	for k := range p.cQ {
+		p.cQ[k] = p.arith.Add(p.arith.Mul(f[k], p.cQ[k]), p.arith.Mul(i[k], cand[k]))
+		p.hQ[k] = p.arith.Mul(o[k], p.fact.Softsign(p.cQ[k]))
+	}
+}
+
+// fixedHead is the fully-connected head at the fixed-point levels.
+func (p *Pipeline) fixedHead() Result {
 	logit := p.arith.Add(p.arith.Dot(p.qFCW, p.hQ), p.qFCB)
 	fl := p.arith.ToFloat(logit)
-	return Result{Ransomware: logit >= 0, Probability: activation.SigmoidF(fl), Logit: fl}, true
+	return Result{Ransomware: logit >= 0, Probability: activation.SigmoidF(fl), Logit: fl}
 }
 
 // ItemCycles returns the simulated per-item latency of each kernel and the

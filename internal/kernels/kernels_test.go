@@ -362,10 +362,39 @@ func BenchmarkClassifyFixedPoint(b *testing.B) {
 	for i := range seq {
 		seq[i] = i % 278
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := p.Classify(seq); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestClassifyAllocatesNothing pins the buffer discipline of every step
+// function: once a pipeline has seen a sequence's items, classifying it
+// allocates nothing at any level.
+func TestClassifyAllocatesNothing(t *testing.T) {
+	m, err := lstm.NewModel(lstm.PaperConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := make([]int, 100)
+	for i := range seq {
+		seq[i] = (i * 7) % m.Config().VocabSize
+	}
+	for _, level := range []OptLevel{LevelVanilla, LevelII, LevelFixedPoint, LevelMixed} {
+		p, err := New(m, Config{Level: level})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, _, err := p.Classify(seq); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per Classify, want 0", level, allocs)
 		}
 	}
 }

@@ -19,7 +19,6 @@ package kernels
 // cost against the DSP savings.
 
 import (
-	"github.com/kfrida1/csdinf/internal/activation"
 	"github.com/kfrida1/csdinf/internal/fixed"
 	"github.com/kfrida1/csdinf/internal/fpga"
 	"github.com/kfrida1/csdinf/internal/hls"
@@ -57,52 +56,37 @@ func (p *Pipeline) quantizeNarrow() {
 
 // stepMixed executes one item with narrow gate MACs and a wide cell path.
 func (p *Pipeline) stepMixed(item int) (Result, bool) {
-	cfg := p.cfg
+	n := p.cfg.HiddenSize
 	x := p.nEmbed[item]
 
 	// h(t-1) is stored wide; requantize the copy handed to the gate CUs,
 	// as the hardware's width converter does on the h_copy path.
-	hNarrow := make([]fixed.Value, cfg.HiddenSize)
 	for k, v := range p.hQ {
-		hNarrow[k] = p.narrow.FromFloat(p.arith.ToFloat(v))
+		p.hNarrow[k] = p.narrow.FromFloat(p.arith.ToFloat(v))
 	}
 
-	// Widen narrow-scale pre-activations to the wide scale. The wide scale
-	// is an exact multiple of NarrowScale, so Rescale is the exact widening
-	// multiply — but routed through the sanctioned conversion rather than a
-	// raw scale-ratio product.
-	widen := func(v fixed.Value) fixed.Value {
-		return p.arith.Rescale(v, p.narrow)
-	}
-
-	var gates [4][]fixed.Value
-	for g := 0; g < 4; g++ {
-		out := make([]fixed.Value, cfg.HiddenSize)
-		for r := 0; r < cfg.HiddenSize; r++ {
+	// Narrow-scale pre-activations are widened to the wide scale before the
+	// bias joins. The wide scale is an exact multiple of NarrowScale, so
+	// Rescale is the exact widening multiply — but routed through the
+	// sanctioned conversion rather than a raw scale-ratio product.
+	for g := range p.nWx {
+		for r := 0; r < n; r++ {
 			pre := p.narrow.Dot(p.nWx[g][r], x)
-			pre = p.narrow.Add(pre, p.narrow.Dot(p.nWh[g][r], hNarrow))
-			wide := p.arith.Add(widen(pre), p.qB[g][r])
+			pre = p.narrow.Add(pre, p.narrow.Dot(p.nWh[g][r], p.hNarrow))
+			wide := p.arith.Add(p.arith.Rescale(pre, p.narrow), p.qB[g][r])
 			if lstm.GateName(g+1) == lstm.GateCandidate {
-				out[r] = p.fact.Softsign(wide)
+				p.gateQ[g*n+r] = p.fact.Softsign(wide)
 			} else {
-				out[r] = p.fact.Sigmoid(wide)
+				p.gateQ[g*n+r] = p.fact.Sigmoid(wide)
 			}
 		}
-		gates[g] = out
 	}
-
-	i, f, o, cand := gates[0], gates[1], gates[2], gates[3]
-	for k := 0; k < cfg.HiddenSize; k++ {
-		p.cQ[k] = p.arith.Add(p.arith.Mul(f[k], p.cQ[k]), p.arith.Mul(i[k], cand[k]))
-		p.hQ[k] = p.arith.Mul(o[k], p.fact.Softsign(p.cQ[k]))
-	}
+	p.cellUpdate()
 	p.counter++
 	if p.counter < p.seqLen {
 		return Result{}, false
 	}
-	logit := p.arith.Add(p.arith.Dot(p.qFCW, p.hQ), p.qFCB)
-	fl := p.arith.ToFloat(logit)
-	return Result{Ransomware: logit >= 0, Probability: activation.SigmoidF(fl), Logit: fl}, true
+	return p.fixedHead(), true
 }
 
 // mixedGatesSpec is gatesSpec at the mixed level: the MAC loop fully

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"testing"
 
 	"github.com/kfrida1/csdinf/internal/absint"
@@ -77,6 +78,56 @@ func TestProbedPathMatchesFast(t *testing.T) {
 	}
 	if observations != before {
 		t.Error("probe fired after removal")
+	}
+}
+
+// TestProbedPathMatchesFastWhenWrapping is TestProbedPathMatchesFast past
+// int64 overflow: the weights are scaled until the gate accumulators wrap,
+// and the fast path must still equal the unfused probed reference bit for
+// bit. Wrapping int64 addition is associative, so folding the bias into the
+// cached input projection and fusing the four gates' Wh·h pass cannot change
+// a single wrapped value.
+func TestProbedPathMatchesFastWhenWrapping(t *testing.T) {
+	m, err := lstm.NewModel(lstm.PaperConfig(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaleModel(m, 1e7)
+	cfg := Config{Level: LevelFixedPoint, SeqLen: goldenWindow}
+	fast, err := New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probed, err := New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := map[string]bool{}
+	probed.SetNumericProbe(func(stage string, _ fixed.Value, wrapErr error) {
+		if wrapErr != nil {
+			wrapped[stage] = true
+		}
+	})
+	for i, seq := range catalogWindows(t)[:8] {
+		rf, _, err := fast.Classify(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, _, err := probed.Classify(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(rf.Logit) != math.Float64bits(rp.Logit) || rf != rp {
+			t.Fatalf("window %d: fast %+v, probed %+v", i, rf, rp)
+		}
+	}
+	for _, stage := range []string{
+		absint.GateStage(lstm.GateInput, absint.StageWxAcc),
+		absint.GateStage(lstm.GateInput, absint.StageWhAcc),
+	} {
+		if !wrapped[stage] {
+			t.Errorf("stage %s never wrapped; the test no longer reaches the overflow regime", stage)
+		}
 	}
 }
 

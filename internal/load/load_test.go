@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/kfrida1/csdinf/internal/eventlog"
+	"github.com/kfrida1/csdinf/internal/fleet"
 	"github.com/kfrida1/csdinf/internal/incident"
 	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/kernels"
+	"github.com/kfrida1/csdinf/internal/serve"
 	"github.com/kfrida1/csdinf/internal/slo"
 )
 
@@ -38,6 +41,34 @@ func (s *stubTarget) Predict(ctx context.Context, seq []int) (kernels.Result, in
 }
 
 func (s *stubTarget) SeqLen() int { return s.seqLen }
+
+// TestReasonClassifiesSentinels checks every sentinel the serve and fleet
+// layers return lands in its own bucket, bare or wrapped the way callers
+// wrap it; fleet blackouts must not fall through to "other".
+func TestReasonClassifiesSentinels(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{fleet.ErrAdmission, "admission"},
+		{serve.ErrQueueFull, "queue-full"},
+		{serve.ErrNoReadyDevice, "no-ready-device"},
+		{fleet.ErrNoReadyDevice, "no-ready-device"},
+		{serve.ErrClosed, "closed"},
+		{fleet.ErrClosed, "closed"},
+		{context.DeadlineExceeded, "canceled"},
+		{context.Canceled, "canceled"},
+		{errInjected, "other"},
+	} {
+		if got := reason(tc.err); got != tc.want {
+			t.Errorf("reason(%v) = %q, want %q", tc.err, got, tc.want)
+		}
+		wrapped := fmt.Errorf("predict: %w", tc.err)
+		if got := reason(wrapped); got != tc.want {
+			t.Errorf("reason(%v) = %q, want %q", wrapped, got, tc.want)
+		}
+	}
+}
 
 func TestConfigValidation(t *testing.T) {
 	tgt := &stubTarget{seqLen: 4}
