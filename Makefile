@@ -137,12 +137,14 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzIntervalSoundness -fuzztime=$(FUZZTIME) ./internal/absint/
 
 # verify is the pre-merge gate: static checks (vet + both lint fronts), a
-# full build, and the whole test suite under the race detector (the serving
-# layer is concurrent).
+# full build, the whole test suite under the race detector (the serving
+# layer is concurrent), and every benchmark run once, so a benchmark that
+# fails at runtime fails the gate.
 verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 fmt:
 	gofmt -w .

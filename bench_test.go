@@ -12,17 +12,25 @@ package csdinf
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/kfrida1/csdinf/internal/baseline"
 	"github.com/kfrida1/csdinf/internal/core"
+	"github.com/kfrida1/csdinf/internal/csd"
 	"github.com/kfrida1/csdinf/internal/dataset"
+	"github.com/kfrida1/csdinf/internal/eventlog"
 	"github.com/kfrida1/csdinf/internal/experiments"
 	"github.com/kfrida1/csdinf/internal/fpga"
 	"github.com/kfrida1/csdinf/internal/hls"
+	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/kernels"
 	"github.com/kfrida1/csdinf/internal/lstm"
+	"github.com/kfrida1/csdinf/internal/prof"
+	"github.com/kfrida1/csdinf/internal/serve"
+	"github.com/kfrida1/csdinf/internal/telemetry"
+	"github.com/kfrida1/csdinf/internal/trace"
 	"github.com/kfrida1/csdinf/internal/train"
 )
 
@@ -408,62 +416,45 @@ func BenchmarkAblation_Streaming(b *testing.B) {
 	}
 }
 
-// Scalability (§II): multi-CSD node throughput on a 64-sequence batch.
-func BenchmarkNode_Throughput(b *testing.B) {
-	m := paperModel(b)
-	batch := make([][]int, 64)
-	for i := range batch {
-		batch[i] = paperSeq()
-	}
-	for _, devices := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "dev1", 2: "dev2", 4: "dev4"}[devices], func(b *testing.B) {
-			n, err := NewNode(m, NodeConfig{Devices: devices})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var res *NodeBatchResult
-			for i := 0; i < b.N; i++ {
-				res, err = n.PredictBatch(context.Background(), batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Makespan.Microseconds()), "sim_makespan_µs")
-			b.ReportMetric(n.ThroughputPerSecond(), "sim_seq/s")
-		})
-	}
-}
-
-// Concurrent serving (§II scalability): 64 goroutines push live windows
-// through the request scheduler over 1/2/4 devices — bounded queues,
-// least-busy placement. Reports simulated device time per request.
-func BenchmarkServe_Throughput(b *testing.B) {
+// Scalability (§II): 64 goroutines push live windows through a 1/2/4-node
+// fleet with blocking per-device queues and least-busy placement. Reports
+// simulated device time per request and the simulated makespan (the
+// busiest node's accumulated device time).
+func BenchmarkFleet_Throughput(b *testing.B) {
 	m := paperModel(b)
 	seq := paperSeq()
-	for _, devices := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "dev1", 2: "dev2", 4: "dev4"}[devices], func(b *testing.B) {
-			s, err := NewServer(m, NodeConfig{Devices: devices}, ServeConfig{Block: true})
+	for _, nodes := range []int{1, 2, 4} {
+		b.Run(map[int]string{1: "dev1", 2: "dev2", 4: "dev4"}[nodes], func(b *testing.B) {
+			// Admission caps in-flight requests at Nodes × QueueDepth; size
+			// the queues so every parallel caller is admitted and waits.
+			const parallelism = 64
+			f, err := NewFleet(m, FleetConfig{
+				Nodes: nodes, Block: true,
+				QueueDepth: parallelism * runtime.GOMAXPROCS(0),
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
-			b.SetParallelism(64)
+			defer f.Close()
+			b.SetParallelism(parallelism)
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if _, _, err := s.Predict(context.Background(), seq); err != nil {
+					if _, _, err := f.Predict(context.Background(), seq); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
-			var busy time.Duration
+			var busy, makespan time.Duration
 			var jobs int64
-			for _, st := range s.Stats() {
-				busy += st.BusyTime
-				jobs += st.Jobs
+			for _, st := range f.Stats() {
+				busy += st.Serve.BusyTime
+				makespan = max(makespan, st.Serve.BusyTime)
+				jobs += st.Serve.Jobs
 			}
 			if jobs > 0 {
 				b.ReportMetric(float64(busy.Microseconds())/float64(jobs), "sim_µs/req")
 			}
+			b.ReportMetric(float64(makespan.Microseconds()), "sim_makespan_µs")
 		})
 	}
 }
@@ -501,19 +492,21 @@ func BenchmarkBackgroundScan(b *testing.B) {
 
 // BenchmarkServe_WallClock is the observability-overhead gate's benchmark
 // twin: one fully-instrumented serve request per iteration, serialized, with
-// allocation reporting. ns/op and allocs/op here correspond to the
-// "instrumented" leg of `csdbench -experiment wallclock`, which cmd/benchdiff
-// diffs against bench-results/baseline-wallclock.json in CI. The allocs/op
-// figure is the interesting one: the observability path's allocation profile
-// is deterministic, so growth means new per-request allocations crept into
-// the hot path.
+// allocation reporting, on the same single-device serve stack the
+// "instrumented" leg of `csdbench -experiment wallclock` builds (which
+// cmd/benchdiff diffs against bench-results/baseline-wallclock.json in CI).
+// The allocs/op figure is the interesting one: the observability path's
+// allocation profile is deterministic, so growth means new per-request
+// allocations crept into the hot path.
 func BenchmarkServe_WallClock(b *testing.B) {
 	m := paperModel(b)
-	reg := NewTelemetry()
-	spans := NewSpanLog(256)
-	events := NewEventLogger(EventLogConfig{})
+	seq := paperSeq()
+	reg := telemetry.NewRegistry()
+	spans := telemetry.NewSpanLog(256)
+	tracer := trace.New()
+	events := eventlog.New(eventlog.Config{})
 	defer events.Close()
-	profiler, err := NewProfiler(ProfilerConfig{
+	profiler, err := prof.New(prof.Config{
 		SampleEvery: -1, MutexFraction: -1, BlockRateNS: -1,
 		CountAllocs: true, Telemetry: reg, Events: events,
 	})
@@ -521,14 +514,23 @@ func BenchmarkServe_WallClock(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer profiler.Close()
-	s, err := NewServer(m, NodeConfig{Devices: 1}, ServeConfig{
-		Telemetry: reg, Spans: spans, Trace: NewTracer(), Events: events, Prof: profiler,
+	dev, err := csd.New(csd.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.Deploy(dev, m, core.DeployConfig{
+		SeqLen: len(seq), Telemetry: reg, Trace: tracer, Events: events,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := serve.New([]infer.Inferencer{eng}, serve.Config{
+		Telemetry: reg, Spans: spans, Trace: tracer, Events: events, Prof: profiler,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	seq := paperSeq()
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -387,25 +387,25 @@ func TestCorpusDeterminismGolden(t *testing.T) {
 	}
 }
 
-// TestServerFacade exercises the concurrent serving layer end to end
-// through the public API: deploy to several devices, push live and stored
-// work from concurrent callers, and close.
-func TestServerFacade(t *testing.T) {
+// TestFleetFacade exercises the serving layer end to end through the
+// public API: deploy to several devices, push live work from concurrent
+// callers, and close.
+func TestFleetFacade(t *testing.T) {
 	cfg := PaperModelConfig()
 	cfg.EmbedDim, cfg.HiddenSize = 4, 8 // scaled down to keep the test fast
 	m, err := NewModel(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServer(m, NodeConfig{
-		Devices: 2,
-		Deploy:  DeployConfig{SeqLen: 16},
-	}, ServeConfig{Block: true})
+	f, err := NewFleet(m, FleetConfig{
+		Nodes: 2, Block: true,
+		Deploy: DeployConfig{SeqLen: 16},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Devices() != 2 || s.SeqLen() != 16 {
-		t.Fatalf("Devices = %d, SeqLen = %d", s.Devices(), s.SeqLen())
+	if f.Nodes() != 2 || f.SeqLen() != 16 {
+		t.Fatalf("Nodes = %d, SeqLen = %d", f.Nodes(), f.SeqLen())
 	}
 	seq := make([]int, 16)
 	for i := range seq {
@@ -418,7 +418,7 @@ func TestServerFacade(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, _, err := s.Predict(context.Background(), seq); err != nil {
+				if _, _, err := f.Predict(context.Background(), seq); err != nil {
 					errCh <- err
 					return
 				}
@@ -432,17 +432,47 @@ func TestServerFacade(t *testing.T) {
 	default:
 	}
 	var jobs int64
-	for _, st := range s.Stats() {
-		jobs += st.Jobs
+	for _, st := range f.Stats() {
+		jobs += st.Serve.Jobs
 	}
 	if jobs != 32 {
 		t.Fatalf("jobs = %d, want 32", jobs)
 	}
-	if err := s.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Predict(context.Background(), seq); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("post-close error = %v, want ErrServerClosed", err)
+	if _, _, err := f.Predict(context.Background(), seq); !errors.Is(err, ErrFleetClosed) {
+		t.Fatalf("post-close error = %v, want ErrFleetClosed", err)
+	}
+}
+
+// TestFleetNoReadyDeviceFacade drains every node of a fleet and checks the
+// outage matches the facade's ErrNoReadyDevice sentinel.
+func TestFleetNoReadyDeviceFacade(t *testing.T) {
+	cfg := PaperModelConfig()
+	cfg.EmbedDim, cfg.HiddenSize = 4, 8
+	m, err := NewModel(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFleet(m, FleetConfig{Nodes: 2, Deploy: DeployConfig{SeqLen: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, d := range f.Registry().List() {
+		if err := f.Drain(d.ID(), "maintenance"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := make([]int, 16)
+	for _, ctx := range []context.Context{
+		context.Background(),
+		WithTenant(context.Background(), "tenant-a"),
+	} {
+		if _, _, err := f.Predict(ctx, seq); !errors.Is(err, ErrNoReadyDevice) {
+			t.Fatalf("all nodes drained: err = %v, want ErrNoReadyDevice", err)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Datacenter operations: the deployment story of §I/§II/§VI. A node hosts
-// several SmartSSDs sharing one classifier; the fleet fans classification
-// work out across devices (the paper's "installation of multiple devices
+// several SmartSSDs sharing one classifier; the fleet spreads classification
+// work across devices (the paper's "installation of multiple devices
 // within a single node"), while a CTI-driven maintenance loop retrains on
 // newly observed strains and hot-swaps the model under a live detection
 // stream — "the FPGA-based model is compiled once and can be updated at the
@@ -11,6 +11,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sync"
+	"time"
 
 	"github.com/kfrida1/csdinf"
 )
@@ -79,25 +81,44 @@ func main() {
 	fmt.Printf("post-swap detection: blocked=%v after %d windows\n",
 		det.Blocked(), det.Stats().WindowsEvaluated)
 
-	// Scale-out: the same model across a 4-CSD node.
-	fmt.Println("\nscaling out to a 4-CSD node...")
-	fleet, err := csdinf.NewNode(updater.Model(), csdinf.NodeConfig{Devices: 4})
+	// Scale-out: the same model served by a 4-CSD fleet. Untenanted
+	// windows go to the least-busy drive, so concurrent callers spread
+	// across all four.
+	fmt.Println("\nscaling out to a 4-CSD fleet...")
+	fleet, err := csdinf.NewFleet(updater.Model(), csdinf.FleetConfig{Nodes: 4, Block: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	batch := make([][]int, 64)
-	for i := range batch {
+	defer fleet.Close()
+	const windows = 64
+	var wg sync.WaitGroup
+	errs := make(chan error, windows)
+	for i := 0; i < windows; i++ {
 		w, err := csdinf.BenignTrace(csdinf.BenignApps[i%len(csdinf.BenignApps)], 100, int64(i))
 		if err != nil {
 			log.Fatal(err)
 		}
-		batch[i] = w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := fleet.Predict(context.Background(), w); err != nil {
+				errs <- err
+			}
+		}()
 	}
-	res, err := fleet.PredictBatch(context.Background(), batch)
-	if err != nil {
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("64-sequence batch across %d devices: makespan %v (total device time %v)\n",
-		fleet.Devices(), res.Makespan, res.DeviceTime)
-	fmt.Printf("node throughput: %.0f sequences/second\n", fleet.ThroughputPerSecond())
+	// The drives run in parallel: the makespan is the busiest drive's
+	// simulated device time.
+	var makespan, deviceTime time.Duration
+	for _, st := range fleet.Stats() {
+		makespan = max(makespan, st.Serve.BusyTime)
+		deviceTime += st.Serve.BusyTime
+	}
+	fmt.Printf("%d windows across %d devices: makespan %v (total device time %v)\n",
+		windows, fleet.Nodes(), makespan, deviceTime)
+	fmt.Printf("fleet throughput: %.0f sequences/second\n", windows/makespan.Seconds())
 }

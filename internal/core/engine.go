@@ -83,8 +83,9 @@ type DeployConfig struct {
 
 // Engine is a deployed CSD inference engine. It is not safe for concurrent
 // use (it owns recurrent kernel state), matching the single-stream dataflow
-// of the hardware pipeline; serialize access externally (internal/node,
-// internal/serve) to share one engine between goroutines.
+// of the hardware pipeline; serialize access externally (internal/serve,
+// which internal/fleet builds one of per device) to share one engine
+// between goroutines.
 //
 // Engine implements infer.Inferencer.
 type Engine struct {

@@ -20,9 +20,9 @@ import (
 )
 
 // Predictor classifies a fully-formed window. It is the stack-wide
-// inference contract: a single CSD engine (core.Engine), a multi-device
-// node (node.Node), the concurrent serving layer (serve.Server), and the
-// hot-swappable maintenance engine (cti.HotSwapEngine) all satisfy it;
+// inference contract: a single CSD engine (core.Engine), a single-device
+// queue (serve.Server), the multi-device serving fleet (fleet.Fleet), and
+// the hot-swappable maintenance engine (cti.HotSwapEngine) all satisfy it;
 // tests may substitute fakes.
 type Predictor = infer.Inferencer
 

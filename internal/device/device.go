@@ -136,6 +136,17 @@ type Registry struct {
 	seq      int64
 	watchers map[int]func(Change)
 	nextW    int
+
+	// lastCost is the most recent per-request cost any device folded in,
+	// ns: the backlog estimate for devices with no samples of their own.
+	lastCost atomic.Int64
+
+	// Watcher delivery runs outside mu; delivered (guarded by deliverMu)
+	// is the last Seq handed to watchers, so concurrent transitions
+	// deliver in Seq order.
+	deliverMu   sync.Mutex
+	deliverCond *sync.Cond
+	delivered   int64
 }
 
 // NewRegistry builds an empty registry.
@@ -146,11 +157,13 @@ func NewRegistry(cfg Config) *Registry {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	return &Registry{
+	r := &Registry{
 		cfg:      cfg,
 		devices:  make(map[ID]*Device),
 		watchers: make(map[int]func(Change)),
 	}
+	r.deliverCond = sync.NewCond(&r.deliverMu)
+	return r
 }
 
 // Device is one registered drive: identity, lifecycle, and capacity
@@ -253,7 +266,7 @@ func (r *Registry) Health() (status string, ready bool) {
 // Watch registers a lifecycle callback and returns its cancel function.
 // Callbacks run synchronously on the transitioning goroutine, in Seq
 // order, after the transition has committed; keep them fast and do not
-// call back into the same device's transition methods from inside one.
+// call back into any device's transition methods from inside one.
 func (r *Registry) Watch(fn func(Change)) (cancel func()) {
 	r.mu.Lock()
 	id := r.nextW
@@ -316,9 +329,18 @@ func (d *Device) transition(to State, reason string) error {
 	}
 	r.mu.Unlock()
 
+	r.deliverMu.Lock()
+	for r.delivered != ch.Seq-1 {
+		r.deliverCond.Wait()
+	}
+	r.deliverMu.Unlock()
 	for _, fn := range watchers {
 		fn(ch)
 	}
+	r.deliverMu.Lock()
+	r.delivered = ch.Seq
+	r.deliverCond.Broadcast()
+	r.deliverMu.Unlock()
 	event := edge.event
 	// A Ready entered from Draining or Failed is a rejoin, not first light.
 	if to == Ready && from != Provisioning {
@@ -347,8 +369,9 @@ func (d *Device) Drain(reason string) error { return d.transition(Draining, reas
 // re-place its in-flight work.
 func (d *Device) Fail(reason string) error { return d.transition(Failed, reason) }
 
-// estFloor is the backlog cost assumed before the EWMA has any samples,
-// so queued requests count against placement from the start.
+// estFloor is the backlog cost assumed before any device in the registry
+// has a cost sample, so queued requests count against placement from the
+// start.
 const estFloor = int64(time.Microsecond)
 
 // IncPending records a request placed on the device.
@@ -368,6 +391,7 @@ func (d *Device) AddBusy(ns int64) {
 		return
 	}
 	d.busy.Add(ns)
+	d.reg.lastCost.Store(ns)
 	if old := d.est.Load(); old == 0 {
 		d.est.Store(ns)
 	} else {
@@ -380,8 +404,15 @@ func (d *Device) Busy() int64 { return d.busy.Value() }
 
 // Score is the device's simulated outstanding work: accumulated busy time
 // plus the estimated cost of its backlog. Lower scores attract placement.
+// A device that has not completed a request yet prices its backlog at the
+// registry's last observed cost: at the floor, a cold device's queue would
+// look nearly free next to warm devices' busy time and attract every
+// placement until its first completion.
 func (d *Device) Score() int64 {
 	est := d.est.Load()
+	if est == 0 {
+		est = d.reg.lastCost.Load()
+	}
 	if est < estFloor {
 		est = estFloor
 	}

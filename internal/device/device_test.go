@@ -194,6 +194,24 @@ func TestScoreAccounting(t *testing.T) {
 	}
 }
 
+// TestScoreColdDeviceBorrowsRegistryCost: a device with no completions of
+// its own prices its backlog at the registry's last observed cost, so its
+// queue does not look free next to a warm device's busy time.
+func TestScoreColdDeviceBorrowsRegistryCost(t *testing.T) {
+	r := NewRegistry(Config{})
+	warm, cold := r.Register(), r.Register()
+	warm.AddBusy(int64(time.Millisecond))
+	cold.IncPending()
+	cold.IncPending()
+	if got, want := cold.Score(), int64(2*time.Millisecond); got != want {
+		t.Fatalf("cold Score with 2 pending = %d, want %d", got, want)
+	}
+	if cold.Score() <= warm.Score() {
+		t.Fatalf("cold device with 2 queued (%d) scores at or below warm device with 1 done (%d)",
+			cold.Score(), warm.Score())
+	}
+}
+
 func TestRegistryStatsSortedAndTelemetryLabeled(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r := NewRegistry(Config{Telemetry: reg})

@@ -19,9 +19,11 @@
 // and emits fleet.* events alongside the registry's device.* stream.
 //
 // Each node is one registry device, one simulated SmartSSD with a deployed
-// engine, and a single-engine serve.Server providing the bounded queue and
+// engine, and a single-device serve.Server providing the bounded queue and
 // backpressure; the fleet layers placement, admission, and lifecycle on
-// top. All methods are safe for concurrent use.
+// top, and is the only layer that spreads work across drives (a 1-node
+// fleet is the single-drive deployment). All methods are safe for
+// concurrent use.
 package fleet
 
 import (
@@ -51,8 +53,10 @@ var ErrAdmission = errors.New("fleet: admission limit reached for class")
 // ErrClosed is returned for requests submitted after Close.
 var ErrClosed = errors.New("fleet: closed")
 
-// ErrNoReadyDevice is returned when no device in the fleet is Ready.
-var ErrNoReadyDevice = errors.New("fleet: no ready device")
+// ErrNoReadyDevice is returned when no device in the fleet is Ready. It
+// wraps serve.ErrNoReadyDevice, so a caller matching the serve sentinel
+// sees the fleet-wide outage too.
+var ErrNoReadyDevice = fmt.Errorf("fleet: %w", serve.ErrNoReadyDevice)
 
 // Class is one QoS admission class: a named share of the fleet's total
 // in-flight capacity (nodes × queue depth). Shares need not sum to 1 —
@@ -141,12 +145,12 @@ func (c *Config) defaults() error {
 	return nil
 }
 
-// node is one CSD node: a registry device, its engine, and the single-engine
+// node is one CSD node: a registry device, its engine, and the single-device
 // scheduler that serializes access. srv is swapped atomically on fail/rejoin;
 // a caller holding the old server gets ErrClosed and retries elsewhere.
 type node struct {
 	h   *device.Device
-	dev *csd.SmartSSD // nil when built from bare engines (tests)
+	dev *csd.SmartSSD // nil when built from caller-supplied engines
 	eng infer.Inferencer
 	srv atomic.Pointer[serve.Server]
 }
@@ -224,11 +228,22 @@ func New(m *lstm.Model, cfg Config) (*Fleet, error) {
 }
 
 // NewFromEngines builds a fleet over caller-supplied engines, one node per
-// engine — the test seam (no CSD deployment, so stored scans depend on the
-// engines' own storage). cfg.Nodes is ignored in favor of len(engines).
+// engine — for callers that deploy their own drives (custom deploy
+// configurations, mirrored scan targets, wrapped or fake engines). Device
+// returns nil for these nodes, so stored scans address the engines' own
+// storage. cfg.Nodes is ignored in favor of len(engines).
 func NewFromEngines(engines []infer.Inferencer, cfg Config) (*Fleet, error) {
 	if len(engines) == 0 {
 		return nil, errors.New("fleet: no engines")
+	}
+	for _, eng := range engines {
+		if eng == nil {
+			return nil, errors.New("fleet: nil engine")
+		}
+		if eng.SeqLen() != engines[0].SeqLen() {
+			return nil, fmt.Errorf("fleet: engine window %d differs from engine 0 window %d",
+				eng.SeqLen(), engines[0].SeqLen())
+		}
 	}
 	cfg.Nodes = len(engines)
 	if err := cfg.defaults(); err != nil {
@@ -239,9 +254,6 @@ func NewFromEngines(engines []infer.Inferencer, cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	for _, eng := range engines {
-		if eng == nil {
-			return nil, errors.New("fleet: nil engine")
-		}
 		if err := f.addNode(f.registry.Register(), nil, eng); err != nil {
 			return nil, err
 		}
@@ -305,14 +317,13 @@ func (f *Fleet) addNode(h *device.Device, dev *csd.SmartSSD, eng infer.Inference
 	return nil
 }
 
-// newServer builds the single-engine scheduler for one node.
+// newServer builds the single-device scheduler for one node.
 func (f *Fleet) newServer(n *node) (*serve.Server, error) {
 	return serve.New([]infer.Inferencer{n.eng}, serve.Config{
 		QueueDepth: f.cfg.QueueDepth,
 		Block:      f.cfg.Block,
 		BatchMax:   f.cfg.BatchMax,
-		Devices:    f.registry,
-		Handles:    []*device.Device{n.h},
+		Device:     n.h,
 		Telemetry:  f.cfg.Telemetry,
 		Spans:      f.cfg.Spans,
 		Trace:      f.cfg.Trace,
@@ -533,8 +544,7 @@ func (f *Fleet) submit(ctx context.Context, call func(*serve.Server) (kernels.Re
 
 // NodeStats describes one fleet node.
 type NodeStats struct {
-	// Serve is the node's per-device serving snapshot (exactly one entry —
-	// each node schedules one device).
+	// Serve is the node's device serving snapshot.
 	Serve serve.DeviceStats
 }
 
@@ -543,7 +553,7 @@ func (f *Fleet) Stats() []NodeStats {
 	out := make([]NodeStats, 0, len(f.nodes))
 	for _, n := range f.nodes {
 		if srv := n.srv.Load(); srv != nil {
-			out = append(out, NodeStats{Serve: srv.Stats()[0]})
+			out = append(out, NodeStats{Serve: srv.Stats()})
 		} else {
 			out = append(out, NodeStats{Serve: serve.DeviceStats{
 				ID:    string(n.h.ID()),

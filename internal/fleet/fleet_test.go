@@ -474,6 +474,18 @@ func TestStressConcurrentDrainRejoin(t *testing.T) {
 	}
 }
 
+func TestNewFromEnginesValidation(t *testing.T) {
+	if _, err := NewFromEngines(nil, Config{}); err == nil {
+		t.Error("no engines: expected error")
+	}
+	if _, err := NewFromEngines([]infer.Inferencer{&fakeInf{seqLen: 8}, nil}, Config{}); err == nil {
+		t.Error("nil engine: expected error")
+	}
+	if _, err := NewFromEngines([]infer.Inferencer{&fakeInf{seqLen: 4}, &fakeInf{seqLen: 8}}, Config{}); err == nil {
+		t.Error("mismatched windows: expected error")
+	}
+}
+
 func TestClosedFleetRejects(t *testing.T) {
 	engs, _ := engines(2)
 	f, err := NewFromEngines(engs, Config{})

@@ -2,14 +2,14 @@
 // layer of the stack. The paper's deployment story (§II, §IV) is a
 // data-center node running background ransomware scanning across many
 // SmartSSDs under real request load; that requires consumers — detectors,
-// nodes, benchmarks, the maintenance loop — to program against a small
-// context-aware interface rather than a concrete engine, so that a single
-// engine, a multi-device node, a host-side baseline, or the concurrent
-// serving layer can be substituted freely.
+// the serving fleet, benchmarks, the maintenance loop — to program against
+// a small context-aware interface rather than a concrete engine, so that a
+// single engine, a host-side baseline, a single-device queue, or the
+// multi-device fleet can be substituted freely.
 //
 // The package is deliberately tiny: the Inferencer interface, the shared
 // Timing breakdown, and the sentinel errors of the contract. Everything
-// above it (internal/core, internal/node, internal/serve, internal/cti,
+// above it (internal/core, internal/serve, internal/fleet, internal/cti,
 // internal/baseline) implements or consumes it; nothing below it imports
 // it.
 package infer
@@ -40,9 +40,10 @@ func (t Timing) Total() time.Duration { return t.Transfer + t.Compute }
 // context cancellation and deadlines: a canceled ctx aborts the call with
 // ctx.Err() before (or instead of) touching the device.
 //
-// Implementations: core.Engine (one CSD), node.Node (multi-CSD fan-out),
-// serve.Server (queued concurrent serving), cti.HotSwapEngine (atomic
-// model replacement), and the host-side baselines in internal/baseline.
+// Implementations: core.Engine (one CSD), serve.Server (one CSD behind a
+// bounded queue), fleet.Fleet (placement across CSDs), cti.HotSwapEngine
+// (atomic model replacement), and the host-side baselines in
+// internal/baseline.
 type Inferencer interface {
 	// Predict classifies one host-provided sequence of API-call IDs.
 	Predict(ctx context.Context, seq []int) (kernels.Result, Timing, error)

@@ -395,7 +395,7 @@ func reason(err error) string {
 		return "admission"
 	case errors.Is(err, serve.ErrQueueFull):
 		return "queue-full"
-	case errors.Is(err, serve.ErrNoReadyDevice), errors.Is(err, fleet.ErrNoReadyDevice):
+	case errors.Is(err, serve.ErrNoReadyDevice): // fleet.ErrNoReadyDevice wraps it
 		return "no-ready-device"
 	case errors.Is(err, serve.ErrClosed), errors.Is(err, fleet.ErrClosed):
 		return "closed"

@@ -1,35 +1,30 @@
-// Package serve is the node-level request scheduler: the layer that turns a
-// rack of single-stream CSD engines into a concurrent inference service.
+// Package serve is the single-device request queue: the layer that turns
+// one single-stream CSD engine into a concurrent inference service.
 //
-// The paper's scalability argument (§II) is that SmartSSDs scale by
-// "allowing for the installation of multiple devices within a single node";
-// this package supplies the serving discipline that argument presumes. Each
-// device's engine owns one hardware pipeline and is not safe for concurrent
-// use, so the server gives every device a single worker goroutine fed by a
-// bounded queue. Incoming requests are placed on the ready device with the
-// least simulated outstanding work (accumulated busy time plus an estimate
-// of its queued backlog), a policy that beats round-robin when request
-// costs or device loads are uneven. A full queue pushes back — immediately
-// with ErrQueueFull, or by blocking until space frees, per Config.Block.
-// Workers coalesce adjacent stored-scan requests into one dispatch, the
-// background scanning pattern the paper's introduction motivates. Context
-// cancellation is honored end-to-end: a canceled request still in a queue
-// is abandoned before it ever touches the device.
+// A device's engine owns one hardware pipeline and is not safe for
+// concurrent use, so the server gives it a single worker goroutine fed by a
+// bounded queue. A full queue pushes back — immediately with ErrQueueFull,
+// or by blocking until space frees, per Config.Block. The worker coalesces
+// adjacent stored-scan requests into one dispatch, the background scanning
+// pattern the paper's introduction motivates. Context cancellation is
+// honored end-to-end: a canceled request still in the queue is abandoned
+// before it ever touches the device. Close fails every still-queued request
+// exactly once with ErrClosed (a caller/worker claim decides who completes
+// it), so a layer above can re-place it without losing or duplicating work.
 //
-// Device identity, lifecycle, and busy accounting live in the shared
-// internal/device registry, not here: the server consumes registry handles
-// (its own, for standalone use, or pre-registered ones handed down by the
-// fleet layer), labels its telemetry and trace tracks with registry IDs,
-// and respects lifecycle state in placement — a draining device finishes
-// its queue but attracts no new work.
+// Spreading work across several drives is internal/fleet's job: it builds
+// one Server per device and places each request. Device identity,
+// lifecycle, and busy accounting live in the shared internal/device
+// registry: the server serves one registry handle (its own, for standalone
+// use, or one handed down by the fleet), labels its telemetry and trace
+// track with the registry ID, and refuses new work while the device is out
+// of rotation.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,43 +37,38 @@ import (
 	"github.com/kfrida1/csdinf/internal/trace"
 )
 
-// ErrQueueFull is returned (when Config.Block is false) if the chosen
-// device's queue has no room — the service is saturated and the caller
-// should shed or retry.
+// ErrQueueFull is returned (when Config.Block is false) if the device's
+// queue has no room — the device is saturated and the caller should shed,
+// retry, or place the request elsewhere.
 var ErrQueueFull = errors.New("serve: device queue full")
 
 // ErrClosed is returned for requests submitted after Close, and for
 // requests still queued when Close ran.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrNoReadyDevice is returned when no device is in the Ready lifecycle
-// state — every drive is provisioning, draining, or failed.
+// ErrNoReadyDevice is returned when the device is not in the Ready
+// lifecycle state — it is provisioning, draining, or failed.
 var ErrNoReadyDevice = errors.New("serve: no ready device")
 
 // Config controls the scheduler.
 type Config struct {
-	// QueueDepth bounds each device's request queue; 0 defaults to 64.
+	// QueueDepth bounds the device's request queue; 0 defaults to 64.
 	QueueDepth int
 	// Block makes a full queue block the caller (until space, cancellation,
 	// or close) instead of failing fast with ErrQueueFull.
 	Block bool
-	// BatchMax bounds how many adjacent queued stored-scan requests a
-	// device worker coalesces into one dispatch; 0 defaults to 8, 1
-	// disables batching.
+	// BatchMax bounds how many adjacent queued stored-scan requests the
+	// worker coalesces into one dispatch; 0 defaults to 8, 1 disables
+	// batching.
 	BatchMax int
-	// Devices is the shared device registry owning identity, lifecycle,
-	// and busy accounting for the engines. Nil builds a private registry
-	// (against Config.Telemetry and Config.Events), preserving standalone
-	// use; fleet-scale callers pass their own so every layer sees the same
-	// device IDs.
-	Devices *device.Registry
-	// Handles pairs pre-registered devices with engines, index for index
-	// (len must equal the engine count). Nil makes the server register one
-	// device per engine in Devices and mark it Ready; non-nil leaves
-	// lifecycle entirely to the caller — the fleet layer drains, fails,
-	// and rejoins devices while the server keeps scheduling around them.
-	Handles []*device.Device
-	// Telemetry, when non-nil, receives the per-device serving metrics:
+	// Device is the registry handle owning the served device's identity,
+	// lifecycle, and busy accounting. Nil builds a private registry
+	// (against Config.Telemetry and Config.Events) holding one Ready
+	// device, for standalone use; non-nil leaves lifecycle entirely to the
+	// caller — the fleet layer drains, fails, and rejoins the device while
+	// the server refuses new work whenever it is out of rotation.
+	Device *device.Device
+	// Telemetry, when non-nil, receives the device's serving metrics:
 	// serve_jobs_total, serve_dispatches_total, serve_errors_total,
 	// serve_canceled_total, serve_queue_full_total, the
 	// serve_queue_wait_seconds wall-time histogram, and the
@@ -92,7 +82,7 @@ type Config struct {
 	// direct Predict calls outside a detector).
 	Spans *telemetry.SpanLog
 	// Trace, when non-nil, records each request's queue residency on the
-	// scheduler's per-device tracks (named by registry ID) and assigns the
+	// device's scheduler track (named by registry ID) and assigns the
 	// request a trace job ID that rides its context — the correlation key
 	// tying the queue event to the transfer and kernel events the device
 	// emits for the same request (and mirrored onto the request's
@@ -144,18 +134,18 @@ const (
 	claimCaller              // caller reclaimed at close; never executed
 )
 
-// request is one queued classification. done is buffered (capacity 1) so a
-// worker can always complete a request whose caller has already abandoned
-// it.
+// request is one queued classification. done is buffered (capacity 1) so
+// the worker can always complete a request whose caller has already
+// abandoned it.
 type request struct {
 	ctx    context.Context
 	seq    []int // live window; nil for stored requests
 	off    int64 // SSD offset; meaningful when stored
 	stored bool
 	done   chan response
-	// enqueuedAt stamps submission, so the dispatching worker can record
-	// the request's queue wait (wall time: queueing happens in the real
-	// host scheduler, unlike the simulated device time in Timing).
+	// enqueuedAt stamps submission, so the worker can record the request's
+	// queue wait (wall time: queueing happens in the real host scheduler,
+	// unlike the simulated device time in Timing).
 	enqueuedAt time.Time
 	// claim resolves the close-time race between the caller and the
 	// worker: 0 = unresolved, 1 = worker owns it (will deliver done),
@@ -183,12 +173,18 @@ type request struct {
 	job int64
 }
 
-// slot is one engine plus its serving state. Identity, lifecycle, and
-// busy/backlog accounting live on the registry handle; the scalar serving
-// counters live directly in telemetry instruments (created against
-// Config.Telemetry or detached when telemetry is off), so Stats() and
-// /metrics read the same source of truth.
-type slot struct {
+// Server schedules classification requests onto one single-stream
+// inference engine. It implements infer.Inferencer, so a detector, mux,
+// hot-swap wrapper, or fleet can sit directly on top of it. Its methods are
+// safe for concurrent use.
+//
+// Identity, lifecycle, and busy/backlog accounting live on the registry
+// handle; the scalar serving counters live directly in telemetry
+// instruments (created against Config.Telemetry, or detached when
+// telemetry is off), so Stats() and /metrics read the same source of
+// truth.
+type Server struct {
+	cfg   Config
 	h     *device.Device
 	inf   infer.Inferencer
 	queue chan *request
@@ -200,155 +196,94 @@ type slot struct {
 	queueFull  *telemetry.Counter // ErrQueueFull rejections
 	queueWait  *telemetry.Histogram
 	batchSize  *telemetry.Histogram
-}
-
-// Server schedules classification requests over a set of single-stream
-// inference engines. It implements infer.Inferencer, so a detector, mux, or
-// hot-swap wrapper can sit directly on top of a whole rack of devices. Its
-// methods are safe for concurrent use.
-type Server struct {
-	cfg   Config
-	slots []*slot
 
 	quit   chan struct{}
+	exited chan struct{} // closed when the worker returns
 	closed atomic.Bool
-	wg     sync.WaitGroup
 }
 
 var _ infer.Inferencer = (*Server)(nil)
 
-// New starts a server over the given engines — one worker goroutine per
-// engine. Engines must all use the same window length. The server takes
-// ownership of serializing access to them; callers must not use the engines
-// directly while the server is running.
+// New starts a server and its worker goroutine; engines must hold exactly
+// one engine. The server takes ownership of serializing access to the
+// engine; callers must not use it directly while the server is running.
 //
-// Device identity comes from cfg.Handles when supplied (pre-registered by
-// the fleet layer, lifecycle managed by the caller); otherwise the server
-// registers one device per engine in cfg.Devices (or a private registry)
-// and marks it Ready.
+// Device identity comes from cfg.Device when supplied (lifecycle managed
+// by the caller); otherwise the server registers one device in a private
+// registry and marks it Ready.
 func New(engines []infer.Inferencer, cfg Config) (*Server, error) {
-	if len(engines) == 0 {
-		return nil, errors.New("serve: no engines")
+	if len(engines) != 1 {
+		return nil, fmt.Errorf("serve: a server runs exactly one engine, got %d", len(engines))
+	}
+	if engines[0] == nil {
+		return nil, errors.New("serve: engine is nil")
 	}
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	for i, e := range engines {
-		if e == nil {
-			return nil, fmt.Errorf("serve: engine %d is nil", i)
-		}
-		if e.SeqLen() != engines[0].SeqLen() {
-			return nil, fmt.Errorf("serve: engine %d window %d differs from engine 0 window %d",
-				i, e.SeqLen(), engines[0].SeqLen())
-		}
-	}
-	if cfg.Handles != nil && len(cfg.Handles) != len(engines) {
-		return nil, fmt.Errorf("serve: %d device handles for %d engines", len(cfg.Handles), len(engines))
-	}
-	handles := cfg.Handles
-	if handles == nil {
-		if cfg.Devices == nil {
-			cfg.Devices = device.NewRegistry(device.Config{
-				Telemetry: cfg.Telemetry, Events: cfg.Events,
-			})
-		}
-		for range engines {
-			d := cfg.Devices.Register()
-			if err := d.SetReady("serve-start"); err != nil {
-				return nil, err
-			}
-			handles = append(handles, d)
-		}
-	} else {
-		for i, h := range handles {
-			if h == nil {
-				return nil, fmt.Errorf("serve: device handle %d is nil", i)
-			}
+	h := cfg.Device
+	if h == nil {
+		h = device.NewRegistry(device.Config{
+			Telemetry: cfg.Telemetry, Events: cfg.Events,
+		}).Register()
+		if err := h.SetReady("serve-start"); err != nil {
+			return nil, err
 		}
 	}
-	s := &Server{cfg: cfg, quit: make(chan struct{})}
 	reg := cfg.Telemetry
-	for i, e := range engines {
-		h := handles[i]
-		dl := telemetry.L("device", string(h.ID()))
-		d := &slot{
-			h:     h,
-			inf:   e,
-			queue: make(chan *request, cfg.QueueDepth),
-			jobs: reg.Counter("serve_jobs_total",
-				"Requests executed successfully.", dl),
-			dispatches: reg.Counter("serve_dispatches_total",
-				"Worker wake-ups; a coalesced stored batch counts once.", dl),
-			errors: reg.Counter("serve_errors_total",
-				"Requests that failed on the device (cancellations excluded).", dl),
-			canceled: reg.Counter("serve_canceled_total",
-				"Requests abandoned by context cancellation before touching the device.", dl),
-			queueFull: reg.Counter("serve_queue_full_total",
-				"Requests rejected with ErrQueueFull.", dl),
-			queueWait: reg.Histogram("serve_queue_wait_seconds",
-				"Wall time between enqueue and worker dispatch.", telemetry.Buckets{}, dl),
-			batchSize: reg.Histogram("serve_batch_size",
-				"Stored-scan requests coalesced per dispatch.", telemetry.DefaultCountBuckets(), dl),
-		}
-		s.slots = append(s.slots, d)
-		s.wg.Add(1)
-		go s.run(d)
+	dl := telemetry.L("device", string(h.ID()))
+	s := &Server{
+		cfg:   cfg,
+		h:     h,
+		inf:   engines[0],
+		queue: make(chan *request, cfg.QueueDepth),
+		jobs: reg.Counter("serve_jobs_total",
+			"Requests executed successfully.", dl),
+		dispatches: reg.Counter("serve_dispatches_total",
+			"Worker wake-ups; a coalesced stored batch counts once.", dl),
+		errors: reg.Counter("serve_errors_total",
+			"Requests that failed on the device (cancellations excluded).", dl),
+		canceled: reg.Counter("serve_canceled_total",
+			"Requests abandoned by context cancellation before touching the device.", dl),
+		queueFull: reg.Counter("serve_queue_full_total",
+			"Requests rejected with ErrQueueFull.", dl),
+		queueWait: reg.Histogram("serve_queue_wait_seconds",
+			"Wall time between enqueue and worker dispatch.", telemetry.Buckets{}, dl),
+		batchSize: reg.Histogram("serve_batch_size",
+			"Stored-scan requests coalesced per dispatch.", telemetry.DefaultCountBuckets(), dl),
+		quit:   make(chan struct{}),
+		exited: make(chan struct{}),
 	}
-	cfg.Events.Info(context.Background(), "serve", "server.start",
-		eventlog.F("devices", len(engines)),
+	go s.run()
+	cfg.Events.LogDevice(context.Background(), eventlog.LevelInfo, "serve", "server.start",
+		string(h.ID()),
 		eventlog.F("queue_depth", cfg.QueueDepth),
 		eventlog.F("batch_max", cfg.BatchMax),
 		eventlog.F("block", cfg.Block))
 	return s, nil
 }
 
-// Devices returns the number of devices being served.
-func (s *Server) Devices() int { return len(s.slots) }
-
 // Closed reports whether Close has begun: new submits fail with ErrClosed
 // and queued requests are being failed for re-placement.
 func (s *Server) Closed() bool { return s.closed.Load() }
 
-// Registry returns the device registry the server's engines are
-// registered in.
-func (s *Server) Registry() *device.Registry { return s.cfg.Devices }
+// SeqLen returns the classification window length of the deployed engine.
+func (s *Server) SeqLen() int { return s.inf.SeqLen() }
 
-// SeqLen returns the classification window length of the deployed engines.
-func (s *Server) SeqLen() int { return s.slots[0].inf.SeqLen() }
-
-// Predict classifies a live window, scheduling it on the ready device with
-// the least simulated outstanding work. The window is copied, so the caller
-// may reuse its slice (detectors slide theirs) as soon as Predict returns.
+// Predict classifies a live window on the device. The window is copied, so
+// the caller may reuse its slice (detectors slide theirs) as soon as
+// Predict returns.
 func (s *Server) Predict(ctx context.Context, seq []int) (kernels.Result, infer.Timing, error) {
 	req := &request{ctx: ctx, seq: append([]int(nil), seq...), done: make(chan response, 1)}
 	return s.submit(ctx, req)
 }
 
-// PredictStored classifies the sequence at the given SSD byte offset on the
-// least-loaded ready device. Offsets address the chosen device's SSD, so
-// stored serving presumes scan targets are mirrored across the rack (as the
-// background-scan replication deployment does). Adjacent queued stored
-// requests are coalesced into one device dispatch.
+// PredictStored classifies the sequence at the given byte offset of the
+// device's SSD. Adjacent queued stored requests are coalesced into one
+// device dispatch.
 func (s *Server) PredictStored(ctx context.Context, ssdOff int64) (kernels.Result, infer.Timing, error) {
 	req := &request{ctx: ctx, off: ssdOff, stored: true, done: make(chan response, 1)}
 	return s.submit(ctx, req)
-}
-
-// pick returns the ready device with the least simulated outstanding work,
-// or nil when every device is out of rotation (draining, failed, or still
-// provisioning).
-func (s *Server) pick() *slot {
-	var best *slot
-	var bestScore int64
-	for _, d := range s.slots {
-		if !d.h.IsReady() {
-			continue
-		}
-		if sc := d.h.Score(); best == nil || sc < bestScore {
-			best, bestScore = d, sc
-		}
-	}
-	return best
 }
 
 func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infer.Timing, error) {
@@ -383,31 +318,30 @@ func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infe
 		req.bd = s.cfg.Prof.NewBreakdown(req.job)
 		req.ownBD = true
 	}
-	d := s.pick()
-	if d == nil {
+	if !s.h.IsReady() {
 		return kernels.Result{}, infer.Timing{}, ErrNoReadyDevice
 	}
-	d.h.IncPending()
+	s.h.IncPending()
 	req.enqueuedAt = time.Now()
 	if s.cfg.Block {
 		select {
-		case d.queue <- req:
+		case s.queue <- req:
 		case <-ctx.Done():
-			d.h.DecPending()
-			d.canceled.Inc()
+			s.h.DecPending()
+			s.canceled.Inc()
 			return kernels.Result{}, infer.Timing{}, ctx.Err()
 		case <-s.quit:
-			d.h.DecPending()
+			s.h.DecPending()
 			return kernels.Result{}, infer.Timing{}, ErrClosed
 		}
 	} else {
 		select {
-		case d.queue <- req:
+		case s.queue <- req:
 		default:
-			d.h.DecPending()
-			d.queueFull.Inc()
+			s.h.DecPending()
+			s.queueFull.Inc()
 			s.cfg.Events.LogDevice(req.ctx, eventlog.LevelWarn, "serve", "queue.full",
-				string(d.h.ID()),
+				string(s.h.ID()),
 				eventlog.F("queue_depth", s.cfg.QueueDepth))
 			return kernels.Result{}, infer.Timing{}, ErrQueueFull
 		}
@@ -424,7 +358,7 @@ func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infe
 			// Still queued and unclaimed: this request never touched the
 			// device and never will — safe for the caller (or a fleet
 			// layer) to re-place elsewhere.
-			d.h.DecPending()
+			s.h.DecPending()
 			return kernels.Result{}, infer.Timing{}, ErrClosed
 		}
 		// The worker owns it: the device is (or was) executing this
@@ -436,8 +370,8 @@ func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infe
 }
 
 // run is the device worker: the single goroutine with access to the engine.
-func (s *Server) run(d *slot) {
-	defer s.wg.Done()
+func (s *Server) run() {
+	defer close(s.exited)
 	for {
 		// Quit takes priority over further queued work: once Close has run,
 		// remaining queued requests are failed with ErrClosed (so a fleet
@@ -445,32 +379,32 @@ func (s *Server) run(d *slot) {
 		// blocking select below picks randomly when both are ready.
 		select {
 		case <-s.quit:
-			s.failQueued(d)
+			s.failQueued()
 			return
 		default:
 		}
 		select {
 		case <-s.quit:
-			s.failQueued(d)
+			s.failQueued()
 			return
-		case req := <-d.queue:
-			batch := s.collect(d, req)
-			d.dispatches.Inc()
-			d.batchSize.Observe(int64(len(batch)))
+		case req := <-s.queue:
+			batch := s.collect(req)
+			s.dispatches.Inc()
+			s.batchSize.Observe(int64(len(batch)))
 			for _, r := range batch {
-				s.execute(d, r)
+				s.execute(r)
 			}
 		}
 	}
 }
 
 // failQueued completes every still-queued request with ErrClosed.
-func (s *Server) failQueued(d *slot) {
+func (s *Server) failQueued() {
 	for {
 		select {
-		case req := <-d.queue:
+		case req := <-s.queue:
 			if req.claim.CompareAndSwap(claimNone, claimWorker) {
-				d.h.DecPending()
+				s.h.DecPending()
 				req.done <- response{err: ErrClosed}
 			}
 		default:
@@ -482,14 +416,14 @@ func (s *Server) failQueued(d *slot) {
 // collect coalesces adjacent queued stored-scan requests behind the first
 // into one dispatch, stopping at a live request, an empty queue, or
 // BatchMax.
-func (s *Server) collect(d *slot, first *request) []*request {
+func (s *Server) collect(first *request) []*request {
 	batch := []*request{first}
 	if !first.stored || s.cfg.BatchMax <= 1 {
 		return batch
 	}
 	for len(batch) < s.cfg.BatchMax {
 		select {
-		case next := <-d.queue:
+		case next := <-s.queue:
 			batch = append(batch, next)
 			if !next.stored {
 				return batch
@@ -501,23 +435,24 @@ func (s *Server) collect(d *slot, first *request) []*request {
 	return batch
 }
 
-// execute runs one request on the device's engine and completes it. A
-// request whose context is already done never touches the engine.
-func (s *Server) execute(d *slot, req *request) {
+// execute runs one request on the engine and completes it. A request whose
+// context is already done never touches the engine.
+func (s *Server) execute(req *request) {
 	if !req.claim.CompareAndSwap(claimNone, claimWorker) {
 		// The caller reclaimed this request at close; it was never
 		// executed and the caller has already re-placed it.
 		return
 	}
+	id := string(s.h.ID())
 	// Queue wait ends here, whether the request proceeds or was abandoned:
 	// the scheduling delay was paid either way.
 	wait := time.Since(req.enqueuedAt)
 	req.bd.Add(prof.StageQueue, wait)
 	obs := req.bd.Begin(prof.StageObserve)
-	d.queueWait.ObserveDuration(wait)
+	s.queueWait.ObserveDuration(wait)
 	if req.span != nil {
 		req.span.Record(telemetry.PhaseQueue, wait)
-		req.span.Device = string(d.h.ID())
+		req.span.Device = id
 	}
 	if tr := s.cfg.Trace; tr.Enabled() {
 		// Pure wall-clock domain: the wait really elapsed on the host.
@@ -530,15 +465,15 @@ func (s *Server) execute(d *slot, req *request) {
 			start = 0
 		}
 		tr.Emit(trace.Event{
-			Track: trace.Track{Group: "serve", Name: string(d.h.ID())},
+			Track: trace.Track{Group: "serve", Name: id},
 			Name:  name, Cat: trace.CatQueue,
 			Start: start, Dur: wait, Job: req.job,
 		})
 	}
 	obs.End()
 	if err := req.ctx.Err(); err != nil {
-		d.h.DecPending()
-		d.canceled.Inc()
+		s.h.DecPending()
+		s.canceled.Inc()
 		req.done <- response{err: err}
 		return
 	}
@@ -554,25 +489,23 @@ func (s *Server) execute(d *slot, req *request) {
 	}
 	var resp response
 	if req.stored {
-		resp.res, resp.timing, resp.err = d.inf.PredictStored(ctx, req.off)
+		resp.res, resp.timing, resp.err = s.inf.PredictStored(ctx, req.off)
 	} else {
-		resp.res, resp.timing, resp.err = d.inf.Predict(ctx, req.seq)
+		resp.res, resp.timing, resp.err = s.inf.Predict(ctx, req.seq)
 	}
 	obs = req.bd.Begin(prof.StageObserve)
-	d.h.AddBusy(int64(resp.timing.Total()))
+	s.h.AddBusy(int64(resp.timing.Total()))
 	if resp.err == nil {
-		d.jobs.Inc()
+		s.jobs.Inc()
 		if s.cfg.Events.Enabled(eventlog.LevelDebug) {
-			s.cfg.Events.LogDevice(req.ctx, eventlog.LevelDebug, "serve", "request.done",
-				string(d.h.ID()),
+			s.cfg.Events.LogDevice(req.ctx, eventlog.LevelDebug, "serve", "request.done", id,
 				eventlog.F("stored", req.stored),
 				eventlog.F("queue_wait_ns", wait),
 				eventlog.F("device_time_ns", resp.timing.Total()))
 		}
 	} else {
-		d.errors.Inc()
-		s.cfg.Events.LogDevice(req.ctx, eventlog.LevelWarn, "serve", "request.error",
-			string(d.h.ID()),
+		s.errors.Inc()
+		s.cfg.Events.LogDevice(req.ctx, eventlog.LevelWarn, "serve", "request.error", id,
 			eventlog.F("stored", req.stored),
 			eventlog.F("error", resp.err))
 	}
@@ -583,13 +516,14 @@ func (s *Server) execute(d *slot, req *request) {
 	if req.ownBD {
 		s.cfg.Prof.Record(req.bd)
 	}
-	// Drop the backlog count before releasing the caller, so a caller
-	// submitting its next request sees this device's true score.
-	d.h.DecPending()
+	// Drop the backlog count before releasing the caller, so a placer
+	// reading the device's score for the caller's next request sees the
+	// true backlog.
+	s.h.DecPending()
 	req.done <- resp
 }
 
-// DeviceStats describes one device's serving activity. It is a read of the
+// DeviceStats describes the device's serving activity. It is a read of the
 // same telemetry instruments exposed at /metrics.
 type DeviceStats struct {
 	// ID is the device's stable registry identity.
@@ -619,51 +553,39 @@ type DeviceStats struct {
 	QueueWaitP90  time.Duration
 }
 
-// Stats returns a snapshot of per-device serving activity, deterministically
-// ordered by device ID so multi-device output diffs cleanly at any fleet
-// size.
-func (s *Server) Stats() []DeviceStats {
-	out := make([]DeviceStats, len(s.slots))
-	for i, d := range s.slots {
-		wait := d.queueWait.Snapshot()
-		out[i] = DeviceStats{
-			ID:            string(d.h.ID()),
-			State:         d.h.State().String(),
-			Jobs:          d.jobs.Value(),
-			Dispatches:    d.dispatches.Value(),
-			BusyTime:      time.Duration(d.h.Busy()),
-			Queued:        d.h.Pending(),
-			Errors:        d.errors.Value(),
-			Canceled:      d.canceled.Value(),
-			QueueFull:     d.queueFull.Value(),
-			QueueWaits:    wait.Count,
-			QueueWaitMean: time.Duration(wait.Mean),
-			QueueWaitP90:  time.Duration(wait.P90),
-		}
+// Stats returns a snapshot of the device's serving activity.
+func (s *Server) Stats() DeviceStats {
+	wait := s.queueWait.Snapshot()
+	return DeviceStats{
+		ID:            string(s.h.ID()),
+		State:         s.h.State().String(),
+		Jobs:          s.jobs.Value(),
+		Dispatches:    s.dispatches.Value(),
+		BusyTime:      time.Duration(s.h.Busy()),
+		Queued:        s.h.Pending(),
+		Errors:        s.errors.Value(),
+		Canceled:      s.canceled.Value(),
+		QueueFull:     s.queueFull.Value(),
+		QueueWaits:    wait.Count,
+		QueueWaitMean: time.Duration(wait.Mean),
+		QueueWaitP90:  time.Duration(wait.P90),
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
-// Close stops the workers, fails queued requests with ErrClosed, and waits
-// for the workers to exit. Close is idempotent.
+// Close stops the worker, fails queued requests with ErrClosed, and waits
+// for the worker to exit. Close is idempotent.
 func (s *Server) Close() error {
 	if s.closed.CompareAndSwap(false, true) {
 		close(s.quit)
-		s.wg.Wait()
-		// Sweep once more after the workers exit: a submit racing with
+		<-s.exited
+		// Sweep once more after the worker exits: a submit racing with
 		// Close can commit its enqueue after the worker's drain.
-		for _, d := range s.slots {
-			s.failQueued(d)
-		}
-		var jobs int64
-		for _, d := range s.slots {
-			jobs += d.jobs.Value()
-		}
-		s.cfg.Events.Info(context.Background(), "serve", "server.close",
-			eventlog.F("jobs_total", jobs))
+		s.failQueued()
+		s.cfg.Events.LogDevice(context.Background(), eventlog.LevelInfo, "serve", "server.close",
+			string(s.h.ID()),
+			eventlog.F("jobs_total", s.jobs.Value()))
 		return nil
 	}
-	s.wg.Wait()
+	<-s.exited
 	return nil
 }

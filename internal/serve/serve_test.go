@@ -8,13 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/kfrida1/csdinf/internal/activation"
-	"github.com/kfrida1/csdinf/internal/core"
-	"github.com/kfrida1/csdinf/internal/csd"
 	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/kernels"
-	"github.com/kfrida1/csdinf/internal/lstm"
-	"github.com/kfrida1/csdinf/internal/ssd"
 )
 
 // fakeInf is a controllable engine: it charges a fixed simulated cost and
@@ -51,12 +46,12 @@ func (f *fakeInf) SeqLen() int { return f.seqLen }
 
 func testSeq() []int { return []int{1, 2, 3, 4, 5, 6, 7, 8} }
 
-// waitQueued polls until the single device's backlog reaches want.
-func waitQueued(t *testing.T, s *Server, dev int, want int64) {
+// waitQueued polls until the device's backlog reaches want.
+func waitQueued(t *testing.T, s *Server, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Stats()[dev].Queued >= want {
+		if s.Stats().Queued >= want {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -71,46 +66,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]infer.Inferencer{nil}, Config{}); err == nil {
 		t.Error("nil engine: expected error")
 	}
+	if _, err := New([]infer.Inferencer{&fakeInf{seqLen: 8}, &fakeInf{seqLen: 8}}, Config{}); err == nil {
+		t.Error("two engines: expected error (placement across devices is the fleet's job)")
+	}
 	if _, err := New([]infer.Inferencer{&fakeInf{seqLen: 4}}, Config{QueueDepth: -1}); err == nil {
 		t.Error("negative queue depth: expected error")
 	}
 	if _, err := New([]infer.Inferencer{&fakeInf{seqLen: 4}}, Config{BatchMax: -1}); err == nil {
 		t.Error("negative batch max: expected error")
 	}
-	if _, err := New([]infer.Inferencer{&fakeInf{seqLen: 4}, &fakeInf{seqLen: 8}}, Config{}); err == nil {
-		t.Error("mismatched windows: expected error")
-	}
 	s, err := New([]infer.Inferencer{&fakeInf{seqLen: 8}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Devices() != 1 || s.SeqLen() != 8 {
-		t.Fatalf("Devices = %d, SeqLen = %d", s.Devices(), s.SeqLen())
+	if s.SeqLen() != 8 {
+		t.Fatalf("SeqLen = %d", s.SeqLen())
 	}
-}
-
-func TestLeastBusyPlacement(t *testing.T) {
-	slow := &fakeInf{seqLen: 8, cost: 10 * time.Millisecond}
-	fast := &fakeInf{seqLen: 8, cost: time.Millisecond}
-	s, err := New([]infer.Inferencer{slow, fast}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 22; i++ {
-		if _, _, err := s.Predict(context.Background(), testSeq()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sc, fc := slow.calls.Load(), fast.calls.Load()
-	if sc+fc != 22 {
-		t.Fatalf("calls = %d + %d, want 22", sc, fc)
-	}
-	// A 10× cost asymmetry must steer most work to the fast device;
-	// round-robin would split 11/11.
-	if fc <= 2*sc {
-		t.Fatalf("least-busy placement ineffective: slow %d, fast %d", sc, fc)
+	if st := s.Stats(); st.ID != "csd-000" || st.State != "ready" {
+		t.Fatalf("private device = %s (%s), want csd-000 (ready)", st.ID, st.State)
 	}
 }
 
@@ -133,7 +107,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	<-f.started
 	wg.Add(1)
 	go submit() // B: sits in the depth-1 queue
-	waitQueued(t, s, 0, 2)
+	waitQueued(t, s, 2)
 	// C: queue is full, non-blocking mode sheds immediately.
 	if _, _, err := s.Predict(context.Background(), testSeq()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("saturated submit error = %v, want ErrQueueFull", err)
@@ -165,7 +139,7 @@ func TestBlockingBackpressureHonorsCancel(t *testing.T) {
 	<-f.started
 	wg.Add(1)
 	go submit() // B: queued
-	waitQueued(t, s, 0, 2)
+	waitQueued(t, s, 2)
 	// C: blocks in the queue send until its context is canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	cErr := make(chan error, 1)
@@ -173,7 +147,7 @@ func TestBlockingBackpressureHonorsCancel(t *testing.T) {
 		_, _, err := s.Predict(ctx, testSeq())
 		cErr <- err
 	}()
-	waitQueued(t, s, 0, 3) // pending counts the blocked sender
+	waitQueued(t, s, 3) // pending counts the blocked sender
 	cancel()
 	if err := <-cErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("blocked submit error = %v, want context.Canceled", err)
@@ -206,7 +180,7 @@ func TestCanceledQueuedRequestNeverReachesDevice(t *testing.T) {
 		_, _, err := s.Predict(ctx, testSeq())
 		bErr <- err
 	}()
-	waitQueued(t, s, 0, 2)
+	waitQueued(t, s, 2)
 	cancel()
 	if err := <-bErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled queued request error = %v, want context.Canceled", err)
@@ -265,12 +239,12 @@ func TestStoredScanBatching(t *testing.T) {
 			}
 		}(i)
 	}
-	waitQueued(t, s, 0, 5)
+	waitQueued(t, s, 5)
 	for i := 0; i < 5; i++ {
 		f.release <- struct{}{}
 	}
 	wg.Wait()
-	st := s.Stats()[0]
+	st := s.Stats()
 	if st.Jobs != 5 {
 		t.Fatalf("jobs = %d, want 5", st.Jobs)
 	}
@@ -298,81 +272,5 @@ func TestCloseFailsPendingAndRejectsNew(t *testing.T) {
 	}
 	if _, _, err := s.Predict(context.Background(), testSeq()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close error = %v, want ErrClosed", err)
-	}
-}
-
-// testEngines deploys one trained model onto n fresh simulated CSDs, with
-// the scan target mirrored at offset 0 on every drive.
-func testEngines(t *testing.T, n int) []infer.Inferencer {
-	t.Helper()
-	m, err := lstm.NewModel(lstm.Config{
-		VocabSize: 20, EmbedDim: 4, HiddenSize: 6, CellActivation: activation.Softsign,
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]infer.Inferencer, n)
-	for i := range out {
-		dev, err := csd.New(csd.Config{SSD: ssd.Config{Capacity: 1 << 20}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := core.Deploy(dev, m, core.DeployConfig{SeqLen: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dev.StoreSequence(0, testSeq()); err != nil {
-			t.Fatal(err)
-		}
-		out[i] = eng
-	}
-	return out
-}
-
-// TestConcurrentStress drives 64 concurrent callers through 4 simulated
-// devices — run under -race, it proves the scheduler serializes every
-// engine correctly.
-func TestConcurrentStress(t *testing.T) {
-	s, err := New(testEngines(t, 4), Config{Block: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const callers, perCaller = 64, 8
-	var wg sync.WaitGroup
-	errCh := make(chan error, callers)
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perCaller; i++ {
-				var err error
-				if (g+i)%2 == 0 {
-					_, _, err = s.Predict(context.Background(), testSeq())
-				} else {
-					_, _, err = s.PredictStored(context.Background(), 0)
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-	var jobs int64
-	for i, st := range s.Stats() {
-		if st.Jobs == 0 {
-			t.Errorf("device %d served nothing; placement starved it", i)
-		}
-		jobs += st.Jobs
-	}
-	if jobs != callers*perCaller {
-		t.Fatalf("total jobs = %d, want %d", jobs, callers*perCaller)
 	}
 }

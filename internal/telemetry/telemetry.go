@@ -16,8 +16,8 @@
 //     phases (queue wait → SSD transfer → FPGA compute → verdict).
 //
 // Everything is safe for concurrent use and built only on the standard
-// library; the rest of the stack (internal/serve, internal/core,
-// internal/node, internal/detect, internal/cti) instruments against it.
+// library; the rest of the stack (internal/serve, internal/fleet,
+// internal/core, internal/detect, internal/cti) instruments against it.
 // Construction helpers are nil-receiver safe: calling Counter/Gauge/
 // Histogram on a nil *Registry returns a live but unregistered metric, so
 // instrumented code needs no "is telemetry enabled" branches.
