@@ -508,7 +508,7 @@ func BenchmarkServe_WallClock(b *testing.B) {
 	defer events.Close()
 	profiler, err := prof.New(prof.Config{
 		SampleEvery: -1, MutexFraction: -1, BlockRateNS: -1,
-		CountAllocs: true, Telemetry: reg, Events: events,
+		Telemetry: reg, Events: events,
 	})
 	if err != nil {
 		b.Fatal(err)

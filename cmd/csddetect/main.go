@@ -278,7 +278,7 @@ func run(args []string) error {
 		defer ln.Close()
 		fmt.Printf("metrics at http://%s/metrics\n", ln.Addr())
 		mux := http.NewServeMux()
-		mux.Handle("/", telemetry.NewHTTPHandlerOpts(reg, telemetry.HTTPOptions{
+		mux.Handle("/", telemetry.NewHTTPHandler(reg, telemetry.HTTPOptions{
 			Spans:  spans,
 			Extra:  extraHandlers(events, p.rec, profiler, p.quality),
 			Health: p.fl.Registry().Health,

@@ -17,6 +17,7 @@ import (
 	"github.com/kfrida1/csdinf/internal/dataset"
 	"github.com/kfrida1/csdinf/internal/eventlog"
 	"github.com/kfrida1/csdinf/internal/incident"
+	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/quality"
 	"github.com/kfrida1/csdinf/internal/sandbox"
 	"github.com/kfrida1/csdinf/internal/telemetry"
@@ -117,7 +118,7 @@ func TestDetectWithMetricsEndpoint(t *testing.T) {
 // observability stack: the incident report must carry the confidence
 // trajectory, the live model generation, the serving-device attribution,
 // and trace job IDs that resolve in both the Chrome trace export and
-// /spans.json.
+// /spans.json, where the job's record explains it on both clocks.
 func TestForensicsEndToEnd(t *testing.T) {
 	model, err := loadOrTrain(trainedWeights(t), 1, 0, 0)
 	if err != nil {
@@ -133,10 +134,16 @@ func TestForensicsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	events.Attach("file", sink, 0)
+	// As csddetect -prof wires it.
+	profiler, err := prof.New(prof.Config{Telemetry: reg, Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer profiler.Close()
 
 	p, err := buildPipeline(pipelineConfig{
 		model: model, threshold: 0.5,
-		reg: reg, spans: spans, tracer: tracer, events: events,
+		reg: reg, spans: spans, tracer: tracer, events: events, profiler: profiler,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,15 +159,15 @@ func TestForensicsEndToEnd(t *testing.T) {
 	if err := replay(benignCtx, p.mux, benignPID, benignTrace, false); err != nil {
 		t.Fatal(err)
 	}
-	prof, err := sandbox.RansomwareProfile("Lockbit", 1)
+	ransom, err := sandbox.RansomwareProfile("Lockbit", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infected, err := prof.Generate(1500, 2)
+	infected, err := ransom.Generate(1500, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ransomCtx := quality.WithLabel(context.Background(), prof.Label())
+	ransomCtx := quality.WithLabel(context.Background(), ransom.Label())
 	if err := replay(ransomCtx, p.mux, ransomPID, infected, false); err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +278,13 @@ func TestForensicsEndToEnd(t *testing.T) {
 		t.Fatal("trace export carries no job annotations")
 	}
 
-	srv := httptest.NewServer(telemetry.NewHTTPHandlerWith(reg, spans, map[string]http.Handler{
-		"/events.json":    events.HTTPHandler(),
-		"/incidents.json": p.rec.HTTPHandler(),
-		"/quality.json":   p.quality.Handler(),
+	srv := httptest.NewServer(telemetry.NewHTTPHandler(reg, telemetry.HTTPOptions{
+		Spans: spans,
+		Extra: map[string]http.Handler{
+			"/events.json":    events.HTTPHandler(),
+			"/incidents.json": p.rec.HTTPHandler(),
+			"/quality.json":   p.quality.Handler(),
+		},
 	}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/spans.json")
@@ -289,17 +299,39 @@ func TestForensicsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inSpans := false
-	for _, sp := range spansDoc.Spans {
-		if sp.ID == job {
-			inSpans = true
-			if sp.Device != "csd-000" {
-				t.Fatalf("span %d device = %q", job, sp.Device)
-			}
+	var blockSpan *telemetry.Span
+	for i, sp := range spansDoc.Spans {
+		if sp.Job == job {
+			blockSpan = &spansDoc.Spans[i]
 		}
 	}
-	if !inSpans {
+	if blockSpan == nil {
 		t.Fatalf("job %d not in /spans.json (%d spans retained)", job, len(spansDoc.Spans))
+	}
+	// One record explains the window on both clocks: the simulated device
+	// time of the SSD→FPGA transfer and the kernels, and the host wall time
+	// of running them, with the serving device attributed.
+	if blockSpan.Name != "window" || blockSpan.Device != "csd-000" {
+		t.Fatalf("span %d = %+v", job, blockSpan)
+	}
+	if blockSpan.Sim[telemetry.StageTransfer] <= 0 || blockSpan.Sim[telemetry.StageCompute] <= 0 {
+		t.Fatalf("span %d lacks simulated transfer/compute: %v", job, blockSpan.Sim)
+	}
+	if blockSpan.Sim[telemetry.StageTransfer] != last.Transfer || blockSpan.Sim[telemetry.StageCompute] != last.Compute {
+		t.Fatalf("span %d sim %v disagrees with the incident's %v/%v", job, blockSpan.Sim, last.Transfer, last.Compute)
+	}
+	if blockSpan.Wall[telemetry.StageCompute] <= 0 || blockSpan.Wall[telemetry.StageQueue] <= 0 {
+		t.Fatalf("span %d lacks host wall compute/queue: %v", job, blockSpan.Wall)
+	}
+	// The profiler's flight recorder keeps the very same record.
+	inFlight := false
+	for _, sp := range profiler.Snapshot().Requests {
+		if sp.Job == job && sp.Sim == blockSpan.Sim && sp.Wall == blockSpan.Wall {
+			inFlight = true
+		}
+	}
+	if !inFlight {
+		t.Fatalf("job %d missing from the profiler's flight recorder", job)
 	}
 
 	// /incidents.json serves the same incident the report file holds.

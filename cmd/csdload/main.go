@@ -253,7 +253,7 @@ func run(args []string, out io.Writer) error {
 		if profiler != nil {
 			extra["/prof.json"] = profiler.Handler()
 		}
-		handler := telemetry.NewHTTPHandlerOpts(reg, telemetry.HTTPOptions{
+		handler := telemetry.NewHTTPHandler(reg, telemetry.HTTPOptions{
 			Spans:  spans,
 			Extra:  extra,
 			Health: fl.Registry().Health,

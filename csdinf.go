@@ -481,8 +481,10 @@ type (
 	// TelemetrySnapshot summarizes a histogram: count, mean ± 95% CI, and
 	// p50/p90/p99 estimates (the shape of the paper's Table I).
 	TelemetrySnapshot = telemetry.HistogramSnapshot
-	// Span records the phases of one request's trip through the pipeline:
-	// queue wait → SSD transfer → FPGA compute → verdict.
+	// Span is the one per-request record: the request's pipeline stages
+	// (queue wait → SSD transfer → FPGA compute → verdict) on both clocks,
+	// simulated device time and host wall time, plus its trace job ID and
+	// serving device.
 	Span = telemetry.Span
 	// SpanLog is a fixed-capacity ring of recently completed spans.
 	SpanLog = telemetry.SpanLog
@@ -516,7 +518,7 @@ func NewSpanLog(capacity int) *SpanLog { return telemetry.NewSpanLog(capacity) }
 // /metrics (Prometheus text format), /metrics.json (JSON snapshot plus
 // recent spans), and /healthz. spans may be nil.
 func NewTelemetryHandler(r *Telemetry, spans *SpanLog) http.Handler {
-	return telemetry.NewHTTPHandler(r, spans)
+	return telemetry.NewHTTPHandler(r, telemetry.HTTPOptions{Spans: spans})
 }
 
 // Event log types (the structured, leveled JSON-lines domain-event layer of
@@ -577,7 +579,7 @@ type (
 	// IncidentConfig controls an IncidentRecorder.
 	IncidentConfig = incident.Config
 	// WindowSample is one classified window with its cross-layer
-	// attribution (job ID, device, pipeline phases) — the payload of
+	// attribution (job ID, device, pipeline stages) — the payload of
 	// DetectorConfig.OnWindow.
 	WindowSample = detect.WindowSample
 )
@@ -656,8 +658,8 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 
 // Continuous-profiling types (the always-on runtime profiler and hot-path
 // cost attribution layer — see internal/prof): a background sampler over
-// scheduler/heap/GC/contention state, per-request pipeline-stage breakdowns,
-// and a bounded flight recorder dumped on incidents. A nil Profiler is
+// scheduler/heap/GC/contention state, per-stage host cost aggregated from
+// each request's Span, and a bounded flight recorder dumped on incidents. A nil Profiler is
 // inert, like every other observability hook.
 type (
 	// Profiler is the continuous profiler: background runtime sampling,
@@ -669,27 +671,12 @@ type (
 	// ProfSample is one runtime sample: goroutines, heap, GC pauses, and
 	// top contended sites.
 	ProfSample = prof.Sample
-	// Breakdown is one request's per-stage wall-clock (and optional
-	// allocation) attribution; it rides the context like a Span.
-	Breakdown = prof.Breakdown
-	// ProfStage names one pipeline stage of a Breakdown.
-	ProfStage = prof.Stage
 	// FlightDump is the flight recorder's exported state: recent runtime
-	// samples and request breakdowns around an incident.
+	// samples and request records around an incident.
 	FlightDump = prof.FlightDump
 	// ProfSnapshot is the profiler's full exported state (the /prof.json
 	// document).
 	ProfSnapshot = prof.Snapshot
-)
-
-// Pipeline stages of a request Breakdown.
-const (
-	StageQueue    = prof.StageQueue
-	StageEncode   = prof.StageEncode
-	StageTransfer = prof.StageTransfer
-	StageCompute  = prof.StageCompute
-	StageVerdict  = prof.StageVerdict
-	StageObserve  = prof.StageObserve
 )
 
 // NewProfiler starts a continuous profiler. Thread it through

@@ -25,7 +25,6 @@ import (
 	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/kernels"
 	"github.com/kfrida1/csdinf/internal/lstm"
-	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/telemetry"
 	"github.com/kfrida1/csdinf/internal/trace"
 )
@@ -295,14 +294,15 @@ func (e *Engine) PredictStored(ctx context.Context, ssdOff int64) (kernels.Resul
 	if err := ctx.Err(); err != nil {
 		return kernels.Result{}, Timing{}, err
 	}
-	e.stampJob(ctx)
-	st := prof.BreakdownFrom(ctx).Begin(prof.StageTransfer)
+	sp := telemetry.SpanFrom(ctx)
+	e.stampJob(sp)
+	st := sp.Begin(telemetry.StageTransfer)
 	xfer, err := e.dev.TransferP2P(ssdOff, e.seqBuf)
 	st.End()
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: fetch sequence: %w", err)
 	}
-	return e.classifyBuffer(ctx, Timing{Transfer: xfer})
+	return e.classifyBuffer(sp, Timing{Transfer: xfer})
 }
 
 // PredictStoredViaHost classifies the stored sequence but stages it through
@@ -311,14 +311,15 @@ func (e *Engine) PredictStoredViaHost(ctx context.Context, ssdOff int64) (kernel
 	if err := ctx.Err(); err != nil {
 		return kernels.Result{}, Timing{}, err
 	}
-	e.stampJob(ctx)
-	st := prof.BreakdownFrom(ctx).Begin(prof.StageTransfer)
+	sp := telemetry.SpanFrom(ctx)
+	e.stampJob(sp)
+	st := sp.Begin(telemetry.StageTransfer)
 	xfer, err := e.dev.TransferViaHost(ssdOff, e.seqBuf)
 	st.End()
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: fetch sequence via host: %w", err)
 	}
-	return e.classifyBuffer(ctx, Timing{Transfer: xfer})
+	return e.classifyBuffer(sp, Timing{Transfer: xfer})
 }
 
 // Predict classifies a host-provided sequence (e.g. a live window from the
@@ -333,26 +334,27 @@ func (e *Engine) Predict(ctx context.Context, seq []int) (kernels.Result, Timing
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: sequence length %d, engine expects %d",
 			len(seq), e.pipe.SeqLen())
 	}
-	bd := prof.BreakdownFrom(ctx)
-	st := bd.Begin(prof.StageEncode)
+	sp := telemetry.SpanFrom(ctx)
+	st := sp.Begin(telemetry.StageEncode)
 	data, err := csd.EncodeItems(seq)
 	st.End()
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: encode sequence: %w", err)
 	}
-	e.stampJob(ctx)
-	st = bd.Begin(prof.StageTransfer)
+	e.stampJob(sp)
+	st = sp.Begin(telemetry.StageTransfer)
 	xfer, err := e.dev.WriteBuffer(e.seqBuf, data)
 	st.End()
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: stage sequence: %w", err)
 	}
-	return e.classifyBuffer(ctx, Timing{Transfer: xfer})
+	return e.classifyBuffer(sp, Timing{Transfer: xfer})
 }
 
-func (e *Engine) classifyBuffer(ctx context.Context, t Timing) (kernels.Result, Timing, error) {
-	bd := prof.BreakdownFrom(ctx)
-	st := bd.Begin(prof.StageCompute)
+// classifyBuffer runs the kernels over the staged sequence and stamps the
+// request record sp (nil: none) with the simulated transfer and compute.
+func (e *Engine) classifyBuffer(sp *telemetry.Span, t Timing) (kernels.Result, Timing, error) {
+	st := sp.Begin(telemetry.StageCompute)
 	seq, err := csd.DecodeItems(e.seqBuf.Bytes())
 	if err != nil {
 		return kernels.Result{}, Timing{}, fmt.Errorf("core: decode sequence: %w", err)
@@ -363,26 +365,34 @@ func (e *Engine) classifyBuffer(ctx context.Context, t Timing) (kernels.Result, 
 	}
 	t.Compute = e.pipe.Device().Duration(cycles)
 	st.End()
-	obs := bd.Begin(prof.StageObserve)
-	e.emitCompute(ctx, t)
+	obs := sp.Begin(telemetry.StageObserve)
+	e.emitCompute(jobOf(sp), t)
 	e.xferHist.ObserveDuration(t.Transfer)
 	e.computeHist.ObserveDuration(t.Compute)
 	e.predictions.Inc()
-	if sp := telemetry.SpanFrom(ctx); sp != nil {
-		sp.Record(telemetry.PhaseTransfer, t.Transfer)
-		sp.Record(telemetry.PhaseCompute, t.Compute)
+	if sp != nil {
+		sp.Sim[telemetry.StageTransfer] += t.Transfer
+		sp.Sim[telemetry.StageCompute] += t.Compute
 	}
 	obs.End()
 	return res, t, nil
 }
 
-// stampJob forwards the context's trace correlation ID to the device, so
+// jobOf returns the trace correlation ID of the request record sp, or 0.
+func jobOf(sp *telemetry.Span) int64 {
+	if sp == nil {
+		return 0
+	}
+	return sp.Job
+}
+
+// stampJob forwards the request's trace correlation ID to the device, so
 // the transfer events the CSD emits carry the same job as the scheduler's
 // queue event and the engine's kernel events (the raw transfer APIs model
 // DMA and take no context of their own).
-func (e *Engine) stampJob(ctx context.Context) {
+func (e *Engine) stampJob(sp *telemetry.Span) {
 	if e.tracer.Enabled() {
-		e.dev.TraceJob(trace.JobFrom(ctx))
+		e.dev.TraceJob(jobOf(sp))
 	}
 }
 
@@ -393,11 +403,10 @@ func (e *Engine) stampJob(ctx context.Context) {
 // transfer overlaps kernel execution on the trace exactly as the dataflow
 // hardware behaves. The engine's reported Timing stays the conservative
 // serial transfer+compute sum.
-func (e *Engine) emitCompute(ctx context.Context, t Timing) {
+func (e *Engine) emitCompute(job int64, t Timing) {
 	if e.tracer == nil || len(e.stages) == 0 {
 		return
 	}
-	job := trace.JobFrom(ctx)
 	end := e.tracer.Cursor(e.traceGroup)
 	at := end - t.Transfer + t.Transfer/time.Duration(e.pipe.SeqLen())
 	if at < 0 {

@@ -77,15 +77,16 @@ func TestEngineRecordsTelemetry(t *testing.T) {
 		t.Fatalf("compute histogram [%d, %d] != simulated %d", compute.Min, compute.Max, lastTiming.Compute)
 	}
 
-	// The span accumulated one transfer + one compute phase per prediction.
-	if len(sp.Phases) != 2*n {
-		t.Fatalf("span has %d phases, want %d", len(sp.Phases), 2*n)
+	// The span accumulated the simulated timings of every prediction on its
+	// Sim clock, and the host cost of running the kernel model on Wall.
+	if sp.Sim[telemetry.StageTransfer] != n*lastTiming.Transfer || sp.Sim[telemetry.StageCompute] != n*lastTiming.Compute {
+		t.Fatalf("span sim = %v, want %d× transfer %v, compute %v", sp.Sim, n, lastTiming.Transfer, lastTiming.Compute)
 	}
-	if sp.Phases[0].Name != telemetry.PhaseTransfer || sp.Phases[1].Name != telemetry.PhaseCompute {
-		t.Fatalf("phase order %q, %q", sp.Phases[0].Name, sp.Phases[1].Name)
+	if sp.Sim.Total() != n*lastTiming.Total() {
+		t.Fatalf("span sim stages beyond transfer/compute: %v", sp.Sim)
 	}
-	if sp.Phases[0].Duration != lastTiming.Transfer || sp.Phases[1].Duration != lastTiming.Compute {
-		t.Fatal("span phases don't carry the simulated timings")
+	if sp.Wall[telemetry.StageCompute] <= 0 {
+		t.Fatalf("span wall compute = %v, want the host cost", sp.Wall[telemetry.StageCompute])
 	}
 }
 

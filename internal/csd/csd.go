@@ -33,6 +33,7 @@ import (
 	"github.com/kfrida1/csdinf/internal/eventlog"
 	"github.com/kfrida1/csdinf/internal/pcie"
 	"github.com/kfrida1/csdinf/internal/ssd"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 	"github.com/kfrida1/csdinf/internal/trace"
 )
 
@@ -147,7 +148,7 @@ func (s *SmartSSD) emitTransfer(event string, bytes int64, d time.Duration) {
 	if !l.Enabled(eventlog.LevelDebug) {
 		return
 	}
-	ctx := trace.WithJob(context.Background(), s.traceJob.Load())
+	ctx := telemetry.WithSpan(context.Background(), &telemetry.Span{Job: s.traceJob.Load()})
 	l.Debug(ctx, "csd", event,
 		eventlog.F("device", name),
 		eventlog.F("bytes", bytes),
@@ -180,14 +181,15 @@ func (s *SmartSSD) traceTransfer(bank int, stages []trace.Event) {
 	tr.Advance(group, at)
 	last := stages[len(stages)-1]
 	tr.Emit(trace.Event{
-		Track: trace.Track{Group: group, Name: fmt.Sprintf("ddr-bank%d", bank)},
+		Track: trace.Track{Group: group, Name: s.banks[bank].track},
 		Name:  "ddr:" + last.Name, Cat: trace.CatTransfer,
 		Start: last.Start, Dur: last.Dur, Job: job,
 	})
 }
 
 type bank struct {
-	used int64
+	used  int64
+	track string // timeline track name, built once
 }
 
 // New builds a SmartSSD from the configuration.
@@ -217,6 +219,9 @@ func New(cfg Config) (*SmartSSD, error) {
 		bankSize: cfg.DRAMBytes / int64(cfg.DRAMBanks),
 	}
 	s.banks = make([]bank, cfg.DRAMBanks)
+	for i := range s.banks {
+		s.banks[i].track = fmt.Sprintf("ddr-bank%d", i)
+	}
 	return s, nil
 }
 

@@ -16,7 +16,6 @@ import (
 	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/quality"
 	"github.com/kfrida1/csdinf/internal/telemetry"
-	"github.com/kfrida1/csdinf/internal/trace"
 )
 
 // Predictor classifies a fully-formed window. It is the stack-wide
@@ -83,11 +82,12 @@ type WindowSample struct {
 	// on the request's telemetry.Span, its timeline events, and any
 	// eventlog events it emitted.
 	Job int64
-	// Device is the serving device that executed the classification (the
-	// scheduler's device index as a string); empty without a scheduler.
+	// Device is the registry ID of the serving device that executed the
+	// classification; empty without a scheduler.
 	Device string
-	// QueueWait, Transfer, and Compute are the request's recorded pipeline
-	// phases (zero when the corresponding layer is not instrumented).
+	// QueueWait is the request's host wall-clock queue wait; Transfer and
+	// Compute are its simulated device time (each zero when the
+	// corresponding layer is not instrumented).
 	QueueWait time.Duration
 	Transfer  time.Duration
 	Compute   time.Duration
@@ -120,8 +120,9 @@ type Config struct {
 	// giving system-wide verdict rates; per-detector numbers stay in
 	// Stats().
 	Telemetry *telemetry.Registry
-	// Spans, when non-nil, retains one pipeline span per classified window
-	// (queue wait → transfer → compute → verdict).
+	// Spans, when non-nil, retains one request record per classified
+	// window: simulated transfer and compute, and the host wall time of
+	// every stage from queue wait to verdict.
 	Spans *telemetry.SpanLog
 	// OnWindow, when non-nil, receives every classified window with its
 	// pipeline attribution — wire incident.Recorder.Window here to turn
@@ -133,11 +134,8 @@ type Config struct {
 	// (error: mitigation.block), each carrying the trace job ID and
 	// process attribution.
 	Events *eventlog.Logger
-	// Prof, when non-nil, attributes each classified window's host
-	// wall-clock to pipeline stages: the detector opens a prof.Breakdown
-	// per classification (unless the caller already carries one), the
-	// layers below stamp their stages, and the detector adds its verdict
-	// and observation costs before recording the breakdown.
+	// Prof, when non-nil, aggregates each classified window's host
+	// wall-clock per pipeline stage from the window's request record.
 	Prof *prof.Profiler
 	// Quality, when non-nil, receives every classified window's verdict
 	// together with the ground-truth label riding the request context (if
@@ -252,34 +250,26 @@ func (d *Detector) Observe(ctx context.Context, apiCallID int) (*Event, error) {
 
 func (d *Detector) classify(ctx context.Context) (*Event, error) {
 	d.sinceEval = 0
-	// Open a pipeline span unless the caller already carries one; the
-	// layers below (scheduler queue wait, engine transfer/compute) record
-	// their phases into whichever span rides the context. A window
-	// observer (or event log) also wants the span's attribution, so one is
-	// created for it even when no span ring is configured.
+	// Open the window's request record unless the caller already carries
+	// one; the layers below (scheduler job, device and queue wait, engine
+	// stages on both clocks) stamp whichever record rides the context. A
+	// window observer, event log or scorecard also wants the record's
+	// attribution, so one is created for them even with no span ring. Each
+	// window gets a fresh record that is never reused: the scheduler may
+	// still stamp an abandoned request's record after Predict returns.
 	sp := telemetry.SpanFrom(ctx)
-	ownSpan := false
-	if sp == nil && (d.cfg.Spans != nil || d.cfg.OnWindow != nil || d.cfg.Events != nil || d.cfg.Quality != nil) {
-		sp = &telemetry.Span{Name: "window"}
+	own := false
+	if sp == nil && (d.cfg.Spans != nil || d.cfg.Prof != nil || d.cfg.OnWindow != nil ||
+		d.cfg.Events != nil || d.cfg.Quality != nil) {
+		sp = &telemetry.Span{Name: "window", Start: time.Now()}
 		ctx = telemetry.WithSpan(ctx, sp)
-		ownSpan = true
-	}
-	// Same ownership rule for the stage-cost breakdown: open one unless the
-	// caller supplied it, so detector-driven requests carry verdict and
-	// observation costs alongside the queue/transfer/compute stages the
-	// layers below stamp.
-	bd := prof.BreakdownFrom(ctx)
-	ownBD := false
-	if bd == nil && d.cfg.Prof != nil {
-		bd = d.cfg.Prof.NewBreakdown(0)
-		ctx = prof.WithBreakdown(ctx, bd)
-		ownBD = true
+		own = true
 	}
 	res, _, err := d.pred.Predict(ctx, d.window)
 	if err != nil {
 		return nil, fmt.Errorf("detect: classify window at call %d: %w", d.calls, err)
 	}
-	verdictStart := time.Now()
+	verdict := sp.Begin(telemetry.StageVerdict)
 	d.windowsEvaluated++
 	d.windowsC.Inc()
 	if res.Ransomware {
@@ -304,21 +294,13 @@ func (d *Detector) classify(ctx context.Context) (*Event, error) {
 	} else {
 		d.consecutive = 0
 	}
-	bd.Add(prof.StageVerdict, time.Since(verdictStart))
-	obs := bd.Begin(prof.StageObserve)
-	if sp != nil {
-		sp.Record(telemetry.PhaseVerdict, time.Since(verdictStart))
-		if ownSpan {
-			d.cfg.Spans.Add(*sp)
-		}
-	}
+	verdict.End()
+	obs := sp.Begin(telemetry.StageObserve)
 	d.observeWindow(ctx, ev, sp)
 	obs.End()
-	if ownBD {
-		if sp != nil && bd.Job == 0 {
-			bd.Job = sp.ID
-		}
-		d.cfg.Prof.Record(bd)
+	if own {
+		d.cfg.Spans.Add(*sp)
+		d.cfg.Prof.Record(sp)
 	}
 	return ev, nil
 }
@@ -350,18 +332,11 @@ func (d *Detector) observeWindow(ctx context.Context, ev *Event, sp *telemetry.S
 		Blocked:     ev.Action == ActionBlock,
 	})
 	if sp != nil {
-		s.Job = sp.ID
+		s.Job = sp.Job
 		s.Device = sp.Device
-		for _, p := range sp.Phases {
-			switch p.Name {
-			case telemetry.PhaseQueue:
-				s.QueueWait += p.Duration
-			case telemetry.PhaseTransfer:
-				s.Transfer += p.Duration
-			case telemetry.PhaseCompute:
-				s.Compute += p.Duration
-			}
-		}
+		s.QueueWait = sp.Wall[telemetry.StageQueue]
+		s.Transfer = sp.Sim[telemetry.StageTransfer]
+		s.Compute = sp.Sim[telemetry.StageCompute]
 	}
 	if d.cfg.OnWindow != nil {
 		d.cfg.OnWindow(s)
@@ -376,9 +351,9 @@ func (d *Detector) observeWindow(ctx context.Context, ev *Event, sp *telemetry.S
 	if !d.cfg.Events.Enabled(lvl) {
 		return
 	}
-	// Ride the job ID on the context so the event correlates with the
-	// request's span and timeline events.
-	d.cfg.Events.LogPID(trace.WithJob(ctx, s.Job), lvl, "detect", name, s.PID,
+	// The context carries the window's record, so the event is stamped
+	// with its job and correlates with /spans.json and the timeline.
+	d.cfg.Events.LogPID(ctx, lvl, "detect", name, s.PID,
 		eventlog.F("call_index", s.CallIndex),
 		eventlog.F("probability", s.Probability),
 		eventlog.F("device", s.Device),

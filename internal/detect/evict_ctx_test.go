@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"github.com/kfrida1/csdinf/internal/eventlog"
-	"github.com/kfrida1/csdinf/internal/trace"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // TestEvictionEventKeepsCallerJob pins the ctx threading through
@@ -22,7 +22,7 @@ func TestEvictionEventKeepsCallerJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx := trace.WithJob(t.Context(), 4242)
+	ctx := telemetry.WithSpan(t.Context(), &telemetry.Span{Job: 4242})
 	for pid := 1; pid <= 3; pid++ {
 		if _, err := m.Observe(ctx, pid, 1); err != nil {
 			t.Fatal(err)

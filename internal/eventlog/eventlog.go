@@ -15,12 +15,12 @@
 // The most recent events are additionally retained in a fixed in-memory
 // ring served at /events.json (see HTTPHandler).
 //
-// Correlation: an event emitted with a context that carries a trace job ID
-// (internal/trace.WithJob — the ID the scheduler allocates per request and
-// mirrors onto telemetry.Span.ID) is stamped with that ID, so one `jq`
-// pass joins the event stream against /spans.json and the Chrome trace
-// export. Events may also carry a process attribution (PID) for the
-// per-process detection mux.
+// Correlation: an event emitted with a context that carries a request
+// record (telemetry.WithSpan) is stamped with the record's trace job ID
+// (Span.Job, which the scheduler allocates per request), so one `jq` pass
+// joins the event stream against /spans.json and the Chrome trace export.
+// Events may also carry a process attribution (PID) for the per-process
+// detection mux.
 //
 // A nil *Logger is valid everywhere and records nothing, matching the
 // optional-instrumentation convention of telemetry and trace.
@@ -33,7 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/kfrida1/csdinf/internal/trace"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // Level is an event severity.
@@ -109,9 +109,9 @@ type Event struct {
 	// Name is the dot-scoped event name within the component, e.g.
 	// "window.classified" or "queue.full".
 	Name string
-	// Job is the trace correlation ID carried by the emitting context
-	// (trace.JobFrom); 0 means unattributed. The same ID appears on the
-	// request's telemetry.Span and its timeline events.
+	// Job is the trace correlation ID of the request record carried by the
+	// emitting context (telemetry.SpanFrom(ctx).Job); 0 means unattributed.
+	// The same ID appears on the request's timeline events.
 	Job int64
 	// PID attributes the event to a monitored process; 0 means none.
 	PID int
@@ -253,7 +253,9 @@ func (l *Logger) emit(ctx context.Context, lvl Level, component, name string, pi
 		Fields:    fields,
 	}
 	if ctx != nil {
-		ev.Job = trace.JobFrom(ctx)
+		if sp := telemetry.SpanFrom(ctx); sp != nil {
+			ev.Job = sp.Job
+		}
 	}
 	l.total.Add(1)
 

@@ -20,9 +20,9 @@ import (
 
 // This file is the observability-overhead self-audit: the same serialized
 // serve→engine workload run twice — once with the full observability stack
-// (telemetry registry, span log, tracer, event log, continuous profiler with
-// per-stage allocation counting) and once with every collaborator nil — and
-// the host wall-clock and allocation cost per request compared. The paper
+// (telemetry registry, span log, tracer, event log, continuous profiler) and
+// once with every collaborator nil — and the host wall-clock and allocation
+// cost per request compared. The paper
 // claims CSD inference frees host resources; this experiment keeps the
 // repo honest about how much host the *instrumentation* takes back, and
 // feeds the wallclock regression gate (BENCH_wallclock.json, diffed by
@@ -64,7 +64,7 @@ type WallClockResult struct {
 	AllocOverheadPerOp float64 `json:"alloc_overhead_per_op"`
 	// StageNSPerOp is the instrumented leg's mean host cost per pipeline
 	// stage (queue, encode, transfer, compute, observe), from the
-	// profiler's breakdown aggregates. The "observe" stage prices the
+	// profiler's per-stage aggregates. The "observe" stage prices the
 	// telemetry/trace/eventlog record calls themselves.
 	StageNSPerOp map[string]float64 `json:"stage_ns_per_op,omitempty"`
 }
@@ -135,7 +135,7 @@ func wallClockLeg(m *lstm.Model, seq []int, cfg WallClockConfig, observed bool) 
 		// and must not perturb other profilers in the same process.
 		profiler, err = prof.New(prof.Config{
 			SampleEvery: -1, MutexFraction: -1, BlockRateNS: -1,
-			CountAllocs: true, Telemetry: reg, Events: events,
+			Telemetry: reg, Events: events,
 		})
 		if err != nil {
 			return WallClockLeg{}, nil, fmt.Errorf("experiments: wallclock: %w", err)

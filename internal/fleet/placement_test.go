@@ -12,7 +12,10 @@ import (
 	"github.com/kfrida1/csdinf/internal/csd"
 	"github.com/kfrida1/csdinf/internal/infer"
 	"github.com/kfrida1/csdinf/internal/lstm"
+	"github.com/kfrida1/csdinf/internal/prof"
 	"github.com/kfrida1/csdinf/internal/ssd"
+	"github.com/kfrida1/csdinf/internal/telemetry"
+	"github.com/kfrida1/csdinf/internal/trace"
 )
 
 // TestLeastBusyPlacement pins the untenanted branch of place: requests
@@ -71,9 +74,10 @@ func TestDeviceStatsOrderedByID(t *testing.T) {
 }
 
 // TestConcurrentStress drives 64 concurrent callers, mixing live and
-// stored windows, through a 4-node fleet of real simulated CSDs — run
-// under -race, it proves each node's scheduler serializes its engine and
-// that untenanted placement reaches every node.
+// stored windows, through a 4-node fleet of real simulated CSDs with spans,
+// tracing and the profiler on — run under -race, it proves each node's
+// scheduler serializes its engine, that untenanted placement reaches every
+// node, and that every request's record is stamped with its job and device.
 func TestConcurrentStress(t *testing.T) {
 	m, err := lstm.NewModel(lstm.Config{
 		VocabSize: 20, EmbedDim: 4, HiddenSize: 6, CellActivation: activation.Softsign,
@@ -81,10 +85,18 @@ func TestConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const callers, perCaller = 64, 8
+	spans := telemetry.NewSpanLog(callers * perCaller)
+	profiler, err := prof.New(prof.Config{SampleEvery: -1, MutexFraction: -1, BlockRateNS: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer profiler.Close()
 	f, err := New(m, Config{
 		Nodes: 4, Block: true,
 		CSD:    csd.Config{SSD: ssd.Config{Capacity: 1 << 20}},
 		Deploy: core.DeployConfig{SeqLen: 8},
+		Spans:  spans, Trace: trace.New(), Prof: profiler,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +109,6 @@ func TestConcurrentStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const callers, perCaller = 64, 8
 	var wg sync.WaitGroup
 	errCh := make(chan error, callers)
 	for g := 0; g < callers; g++ {
@@ -133,5 +144,19 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	if jobs != callers*perCaller {
 		t.Fatalf("total jobs = %d, want %d", jobs, callers*perCaller)
+	}
+	records := spans.Snapshot()
+	if len(records) != callers*perCaller {
+		t.Fatalf("%d request records logged, want %d", len(records), callers*perCaller)
+	}
+	seen := make(map[int64]bool, len(records))
+	for _, sp := range records {
+		if sp.Job == 0 || sp.Device == "" || seen[sp.Job] {
+			t.Fatalf("record %+v: want a unique job and a device", sp)
+		}
+		seen[sp.Job] = true
+	}
+	if n := profiler.Snapshot().RequestsTotal; n != callers*perCaller {
+		t.Fatalf("profiler recorded %d requests, want %d", n, callers*perCaller)
 	}
 }

@@ -34,7 +34,7 @@ import (
 
 	"github.com/kfrida1/csdinf/internal/detect"
 	"github.com/kfrida1/csdinf/internal/eventlog"
-	"github.com/kfrida1/csdinf/internal/trace"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
 // Window is one classified window in an incident's trajectory.
@@ -53,8 +53,8 @@ type Window struct {
 	Job int64 `json:"job,omitempty"`
 	// Device is the serving device that executed the classification.
 	Device string `json:"device,omitempty"`
-	// QueueWait, Transfer, and Compute are the request's recorded pipeline
-	// phases, in nanoseconds.
+	// QueueWait is the request's host wall-clock queue wait; Transfer and
+	// Compute are its simulated device time; all in nanoseconds.
 	QueueWait time.Duration `json:"queue_wait_ns"`
 	Transfer  time.Duration `json:"transfer_ns"`
 	Compute   time.Duration `json:"compute_ns"`
@@ -121,8 +121,8 @@ type Incident struct {
 	// Devices are the distinct serving devices that classified the windows
 	// (for a device incident: the failed drive's registry ID).
 	Devices []string `json:"devices,omitempty"`
-	// QueueWaitTotal, TransferTotal, and ComputeTotal aggregate the pipeline
-	// phases across every window of the epoch, in nanoseconds.
+	// QueueWaitTotal, TransferTotal, and ComputeTotal aggregate those
+	// stages across every window of the epoch, in nanoseconds.
 	QueueWaitTotal time.Duration `json:"queue_wait_total_ns"`
 	TransferTotal  time.Duration `json:"transfer_total_ns"`
 	ComputeTotal   time.Duration `json:"compute_total_ns"`
@@ -541,7 +541,7 @@ func jobCtx(job int64) context.Context {
 	if job == 0 {
 		return context.Background()
 	}
-	return trace.WithJob(context.Background(), job)
+	return telemetry.WithSpan(context.Background(), &telemetry.Span{Job: job})
 }
 
 // ErrNoIncidents is returned by WriteReports when there is nothing to write.

@@ -10,65 +10,22 @@ import (
 	"time"
 
 	"github.com/kfrida1/csdinf/internal/eventlog"
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
-// BreakdownRecord is the flight recorder's JSON-friendly form of one
-// request's stage breakdown.
-type BreakdownRecord struct {
-	// Time stamps request admission.
-	Time time.Time `json:"time"`
-	// Job is the trace correlation ID (0 when tracing is off).
-	Job int64 `json:"job,omitempty"`
-	// TotalNS sums the attributed stage costs.
-	TotalNS int64 `json:"total_ns"`
-
-	QueueNS    int64 `json:"queue_ns,omitempty"`
-	EncodeNS   int64 `json:"encode_ns,omitempty"`
-	TransferNS int64 `json:"transfer_ns,omitempty"`
-	ComputeNS  int64 `json:"compute_ns,omitempty"`
-	VerdictNS  int64 `json:"verdict_ns,omitempty"`
-	ObserveNS  int64 `json:"observe_ns,omitempty"`
-
-	QueueAllocs    int64 `json:"queue_allocs,omitempty"`
-	EncodeAllocs   int64 `json:"encode_allocs,omitempty"`
-	TransferAllocs int64 `json:"transfer_allocs,omitempty"`
-	ComputeAllocs  int64 `json:"compute_allocs,omitempty"`
-	VerdictAllocs  int64 `json:"verdict_allocs,omitempty"`
-	ObserveAllocs  int64 `json:"observe_allocs,omitempty"`
-}
-
-// set stores one stage's measurements in the matching fixed fields.
-func (r *BreakdownRecord) set(s Stage, wallNS, allocs int64) {
-	switch s {
-	case StageQueue:
-		r.QueueNS, r.QueueAllocs = wallNS, allocs
-	case StageEncode:
-		r.EncodeNS, r.EncodeAllocs = wallNS, allocs
-	case StageTransfer:
-		r.TransferNS, r.TransferAllocs = wallNS, allocs
-	case StageCompute:
-		r.ComputeNS, r.ComputeAllocs = wallNS, allocs
-	case StageVerdict:
-		r.VerdictNS, r.VerdictAllocs = wallNS, allocs
-	case StageObserve:
-		r.ObserveNS, r.ObserveAllocs = wallNS, allocs
-	}
-}
-
-// flight is the bounded in-memory ring pair behind the flight recorder:
-// recent runtime samples and recent request breakdowns.
+// flight is the flight recorder's state: a bounded ring of recent runtime
+// samples and a span log of recent request records.
 type flight struct {
-	mu         sync.Mutex
-	samples    []Sample
-	sNext      int
-	breakdowns []BreakdownRecord
-	bNext      int
+	mu       sync.Mutex
+	samples  []Sample
+	next     int
+	requests *telemetry.SpanLog
 }
 
-func newFlight(samples, breakdowns int) *flight {
+func newFlight(samples, requests int) *flight {
 	return &flight{
-		samples:    make([]Sample, 0, samples),
-		breakdowns: make([]BreakdownRecord, 0, breakdowns),
+		samples:  make([]Sample, 0, samples),
+		requests: telemetry.NewSpanLog(requests),
 	}
 }
 
@@ -79,45 +36,31 @@ func (f *flight) addSample(s Sample) {
 		f.samples = append(f.samples, s)
 		return
 	}
-	f.samples[f.sNext] = s
-	f.sNext = (f.sNext + 1) % len(f.samples)
+	f.samples[f.next] = s
+	f.next = (f.next + 1) % len(f.samples)
 }
 
-func (f *flight) addBreakdown(r BreakdownRecord) {
+// snapshot returns the retained samples and request records, oldest first.
+func (f *flight) snapshot() ([]Sample, []telemetry.Span) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.breakdowns) < cap(f.breakdowns) {
-		f.breakdowns = append(f.breakdowns, r)
-		return
-	}
-	f.breakdowns[f.bNext] = r
-	f.bNext = (f.bNext + 1) % len(f.breakdowns)
-}
-
-// snapshot returns both rings, oldest first.
-func (f *flight) snapshot() ([]Sample, []BreakdownRecord) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	s := make([]Sample, 0, len(f.samples))
-	s = append(s, f.samples[f.sNext:]...)
-	s = append(s, f.samples[:f.sNext]...)
-	b := make([]BreakdownRecord, 0, len(f.breakdowns))
-	b = append(b, f.breakdowns[f.bNext:]...)
-	b = append(b, f.breakdowns[:f.bNext]...)
-	return s, b
+	s = append(s, f.samples[f.next:]...)
+	s = append(s, f.samples[:f.next]...)
+	f.mu.Unlock()
+	return s, f.requests.Snapshot()
 }
 
 // FlightDump is one flight-recorder dump: the retained runtime samples and
-// request breakdowns at the moment something went wrong, stamped with the
+// request records at the moment something went wrong, stamped with the
 // reason and (when an incident triggered it) the incident ID — the
 // correlation keys back to /incidents.json, /events.json, and the trace.
 type FlightDump struct {
-	Reason     string            `json:"reason"`
-	IncidentID int64             `json:"incident_id,omitempty"`
-	Time       time.Time         `json:"time"`
-	Seq        int64             `json:"seq"`
-	Samples    []Sample          `json:"samples"`
-	Requests   []BreakdownRecord `json:"requests"`
+	Reason     string           `json:"reason"`
+	IncidentID int64            `json:"incident_id,omitempty"`
+	Time       time.Time        `json:"time"`
+	Seq        int64            `json:"seq"`
+	Samples    []Sample         `json:"samples"`
+	Requests   []telemetry.Span `json:"requests"`
 	// Extra is the Config.FlightExtra payload captured at dump time
 	// (e.g. the detection-quality scorecard snapshot); absent when no
 	// hook is configured.
@@ -132,7 +75,7 @@ func (p *Profiler) Flight(reason string, incidentID int64) FlightDump {
 		return FlightDump{Reason: reason, IncidentID: incidentID}
 	}
 	p.Sample()
-	samples, breakdowns := p.flight.snapshot()
+	samples, requests := p.flight.snapshot()
 	p.mu.Lock()
 	p.dumps++
 	seq := p.dumps
@@ -140,7 +83,7 @@ func (p *Profiler) Flight(reason string, incidentID int64) FlightDump {
 	d := FlightDump{
 		Reason: reason, IncidentID: incidentID,
 		Time: p.cfg.Clock(), Seq: seq,
-		Samples: samples, Requests: breakdowns,
+		Samples: samples, Requests: requests,
 	}
 	if p.cfg.FlightExtra != nil {
 		d.Extra = p.cfg.FlightExtra()

@@ -3,9 +3,12 @@ package prof
 import (
 	"encoding/json"
 	"net/http"
+
+	"github.com/kfrida1/csdinf/internal/telemetry"
 )
 
-// StageSummary aggregates one stage across every recorded breakdown.
+// StageSummary aggregates one stage's host wall time across every recorded
+// request.
 type StageSummary struct {
 	Stage   string  `json:"stage"`
 	Count   int64   `json:"count"`
@@ -16,17 +19,17 @@ type StageSummary struct {
 // Snapshot is the /prof.json document: profiler configuration, a fresh
 // runtime sample, per-stage cost aggregates, and the flight-recorder rings.
 type Snapshot struct {
-	Enabled            bool              `json:"enabled"`
-	SampleEverySeconds float64           `json:"sample_every_seconds,omitempty"`
-	MutexFraction      int               `json:"mutex_fraction,omitempty"`
-	BlockRateNS        int               `json:"block_rate_ns,omitempty"`
-	SamplesTotal       int64             `json:"samples_total"`
-	RequestsTotal      int64             `json:"requests_total"`
-	FlightDumps        int64             `json:"flight_dumps"`
-	Last               Sample            `json:"last"`
-	Stages             []StageSummary    `json:"stages,omitempty"`
-	Samples            []Sample          `json:"samples"`
-	Requests           []BreakdownRecord `json:"requests"`
+	Enabled            bool             `json:"enabled"`
+	SampleEverySeconds float64          `json:"sample_every_seconds,omitempty"`
+	MutexFraction      int              `json:"mutex_fraction,omitempty"`
+	BlockRateNS        int              `json:"block_rate_ns,omitempty"`
+	SamplesTotal       int64            `json:"samples_total"`
+	RequestsTotal      int64            `json:"requests_total"`
+	FlightDumps        int64            `json:"flight_dumps"`
+	Last               Sample           `json:"last"`
+	Stages             []StageSummary   `json:"stages,omitempty"`
+	Samples            []Sample         `json:"samples"`
+	Requests           []telemetry.Span `json:"requests"`
 }
 
 // Snapshot takes a fresh runtime sample and returns the full profiler
@@ -36,7 +39,7 @@ func (p *Profiler) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	last := p.Sample()
-	samples, breakdowns := p.flight.snapshot()
+	samples, requests := p.flight.snapshot()
 	p.mu.Lock()
 	snap := Snapshot{
 		Enabled:            true,
@@ -48,9 +51,9 @@ func (p *Profiler) Snapshot() Snapshot {
 		FlightDumps:        p.dumps,
 		Last:               last,
 		Samples:            samples,
-		Requests:           breakdowns,
+		Requests:           requests,
 	}
-	for s := Stage(0); s < numStages; s++ {
+	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
 		if p.stageCount[s] == 0 {
 			continue
 		}

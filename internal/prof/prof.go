@@ -1,7 +1,7 @@
 // Package prof is the continuous profiler: the fifth observability layer,
 // watching the watchers. telemetry/trace/eventlog/slo answer "what is the
 // service doing"; prof answers "what is the *process* doing while it does
-// it" — where the host-side nanoseconds and allocations of each request go,
+// it" — where the host-side nanoseconds of each request go,
 // how the Go runtime (goroutines, heap, GC, lock contention) behaves under
 // load, and how much the observability stack itself costs.
 //
@@ -12,21 +12,22 @@
 //     profiles (runtime.SetMutexProfileFraction / SetBlockProfileRate) with
 //     top-N contended-site extraction — exported as prof_* telemetry series
 //     and a /prof.json endpoint.
-//   - Hot-path cost attribution: a per-request Breakdown of wall-clock time
-//     (and, in serialized audit runs, allocations) across the pipeline
-//     stages — queue, encode, transfer, compute, verdict, observe — carried
-//     on the request context exactly like telemetry.Span, stamped by
-//     serve/core/detect, and aggregated into prof_stage_seconds histograms.
-//     The "observe" stage prices the telemetry/trace/eventlog record calls
-//     themselves, so the overhead of observability is itself observable.
+//   - Hot-path cost attribution: Record aggregates the host wall time of
+//     each completed telemetry.Span — the one per-request record, stamped
+//     by serve/core/detect across the pipeline stages queue, encode,
+//     transfer, compute, verdict, observe — into prof_stage_seconds
+//     histograms. The "observe" stage prices the telemetry/trace/eventlog
+//     record calls themselves, so the overhead of observability is itself
+//     observable.
 //   - A flight recorder: a bounded in-memory ring of recent runtime samples
-//     and request breakdowns, dumped to a JSON artifact (plus a
-//     prof.flight.dump event) when an SLO page fires or an incident opens,
-//     so every burn-rate page ships with the runtime state that preceded it.
+//     and a telemetry.SpanLog of recent request records, dumped to a JSON
+//     artifact (plus a prof.flight.dump event) when an SLO page fires or an
+//     incident opens, so every burn-rate page ships with the runtime state
+//     that preceded it.
 //
-// Like the rest of the stack, a nil *Profiler (and a nil *Breakdown) is
-// valid everywhere and records nothing, so instrumented code needs no
-// "is profiling enabled" branches.
+// Like the rest of the stack, a nil *Profiler is valid everywhere and
+// records nothing, so instrumented code needs no "is profiling enabled"
+// branches.
 package prof
 
 import (
@@ -49,9 +50,9 @@ type Config struct {
 	// Ring bounds the flight recorder's retained runtime samples; 0
 	// defaults to 240 (one minute at the default period).
 	Ring int
-	// BreakdownRing bounds the flight recorder's retained per-request stage
-	// breakdowns; 0 defaults to 512.
-	BreakdownRing int
+	// RequestRing bounds the flight recorder's retained request records;
+	// 0 defaults to 512.
+	RequestRing int
 	// TopN bounds the contended-site lists extracted from the mutex and
 	// block profiles; 0 defaults to 8.
 	TopN int
@@ -63,11 +64,6 @@ type Config struct {
 	// event is sampled per this many nanoseconds blocked. 0 defaults to
 	// 100µs; negative leaves the runtime setting untouched.
 	BlockRateNS int
-	// CountAllocs adds per-stage allocation counts to request breakdowns.
-	// The counter is process-global, so the numbers are only meaningful
-	// when requests run serialized — the observability self-audit does;
-	// a loaded fleet does not. Off by default.
-	CountAllocs bool
 	// Telemetry, when non-nil, receives the prof_* series: runtime gauges
 	// (prof_goroutines, prof_heap_alloc_bytes, prof_heap_objects), GC and
 	// allocation counters (prof_gc_cycles_total, prof_alloc_bytes_total,
@@ -86,8 +82,8 @@ type Config struct {
 	// confusion matrix that burned it). The callback must be safe to call
 	// from any goroutine.
 	FlightExtra func() any
-	// Clock overrides time.Now for sample timestamps in tests. Durations
-	// (stage costs, sampler cost) always use the monotonic host clock.
+	// Clock overrides time.Now for sample timestamps in tests. The sampler
+	// cost always uses the monotonic host clock.
 	Clock func() time.Time
 }
 
@@ -98,8 +94,8 @@ func (c *Config) defaults() {
 	if c.Ring == 0 {
 		c.Ring = 240
 	}
-	if c.BreakdownRing == 0 {
-		c.BreakdownRing = 512
+	if c.RequestRing == 0 {
+		c.RequestRing = 512
 	}
 	if c.TopN == 0 {
 		c.TopN = 8
@@ -158,8 +154,8 @@ type Profiler struct {
 
 	// Per-stage aggregation for Snapshot (telemetry histograms hold the
 	// full distributions; these scalars feed /prof.json without a registry).
-	stageCount [numStages]int64
-	stageWall  [numStages]int64
+	stageCount [telemetry.NumStages]int64
+	stageWall  [telemetry.NumStages]int64
 	requests   int64
 	samples    int64
 	dumps      int64
@@ -172,7 +168,7 @@ type Profiler struct {
 	gcC         *telemetry.Counter
 	pauseH      *telemetry.Histogram
 	costH       *telemetry.Histogram
-	stageH      [numStages]*telemetry.Histogram
+	stageH      [telemetry.NumStages]*telemetry.Histogram
 	requestH    *telemetry.Histogram
 	requestsC   *telemetry.Counter
 	dumpsC      *telemetry.Counter
@@ -189,7 +185,7 @@ func New(cfg Config) (*Profiler, error) {
 	cfg.defaults()
 	p := &Profiler{
 		cfg:    cfg,
-		flight: newFlight(cfg.Ring, cfg.BreakdownRing),
+		flight: newFlight(cfg.Ring, cfg.RequestRing),
 		quit:   make(chan struct{}),
 	}
 	reg := cfg.Telemetry
@@ -203,14 +199,14 @@ func New(cfg Config) (*Profiler, error) {
 		"Individual GC stop-the-world pauses observed by the runtime sampler.", telemetry.Buckets{})
 	p.costH = reg.Histogram("prof_sample_cost_seconds",
 		"Host cost of taking one runtime sample — the profiler auditing itself.", telemetry.Buckets{})
-	for s := Stage(0); s < numStages; s++ {
+	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
 		p.stageH[s] = reg.Histogram("prof_stage_seconds",
 			"Host wall-clock cost per request, attributed to pipeline stages.",
 			telemetry.Buckets{}, telemetry.L("stage", s.String()))
 	}
 	p.requestH = reg.Histogram("prof_request_wall_seconds",
 		"Total attributed host wall-clock cost per request.", telemetry.Buckets{})
-	p.requestsC = reg.Counter("prof_requests_total", "Request breakdowns recorded.")
+	p.requestsC = reg.Counter("prof_requests_total", "Request records aggregated.")
 	p.dumpsC = reg.Counter("prof_flight_dumps_total", "Flight-recorder dumps written.")
 
 	if cfg.MutexFraction > 0 {
@@ -310,38 +306,26 @@ func (p *Profiler) Sample() Sample {
 	return s
 }
 
-// Record aggregates a completed request breakdown into the per-stage
-// histograms and the flight recorder. The serving layer calls it once per
-// request it created the breakdown for; callers that attached their own
-// breakdown to the context record it themselves.
-func (p *Profiler) Record(b *Breakdown) {
-	if p == nil || b == nil {
+// Record aggregates a completed request's host wall time into the
+// per-stage histograms and keeps the record in the flight recorder. The
+// creator of a span records it once, when the request completes.
+func (p *Profiler) Record(sp *telemetry.Span) {
+	if p == nil || sp == nil {
 		return
 	}
-	var total int64
-	rec := BreakdownRecord{Time: b.Start, Job: b.Job}
-	for s := Stage(0); s < numStages; s++ {
-		w := b.wall[s]
-		if w == 0 && b.allocs[s] == 0 {
-			continue
-		}
-		total += w
-		p.stageH[s].Observe(w)
-		rec.set(s, w, b.allocs[s])
-	}
-	rec.TotalNS = total
-	p.requestH.Observe(total)
+	p.requestH.ObserveDuration(sp.Wall.Total())
 	p.requestsC.Inc()
 	p.mu.Lock()
-	for s := Stage(0); s < numStages; s++ {
-		if b.wall[s] != 0 {
+	for s, w := range sp.Wall {
+		if w != 0 {
+			p.stageH[s].ObserveDuration(w)
 			p.stageCount[s]++
-			p.stageWall[s] += b.wall[s]
+			p.stageWall[s] += int64(w)
 		}
 	}
 	p.requests++
 	p.mu.Unlock()
-	p.flight.addBreakdown(rec)
+	p.flight.requests.Add(*sp)
 }
 
 // Close stops the background sampler and restores the mutex-profile

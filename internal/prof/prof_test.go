@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -41,18 +40,10 @@ func TestNilProfilerIsInert(t *testing.T) {
 	if s := p.Sample(); s.Goroutines != 0 {
 		t.Fatalf("nil Sample = %+v", s)
 	}
-	if b := p.NewBreakdown(7); b != nil {
-		t.Fatalf("nil NewBreakdown = %v", b)
-	}
 	p.Record(nil)
+	p.Record(&telemetry.Span{Wall: telemetry.Stages{telemetry.StageQueue: time.Second}})
 	if path, err := p.WriteFlight(t.TempDir(), "test", 0); err != nil || path != "" {
 		t.Fatalf("nil WriteFlight = %q, %v", path, err)
-	}
-	var b *Breakdown
-	b.Add(StageQueue, time.Second)
-	b.Begin(StageCompute).End()
-	if b.Total() != 0 || b.Wall(StageQueue) != 0 {
-		t.Fatal("nil breakdown recorded something")
 	}
 	// Nil handler still serves a well-formed disabled document.
 	rr := httptest.NewRecorder()
@@ -113,36 +104,18 @@ func TestSampleDeltasAndGauges(t *testing.T) {
 	}
 }
 
-func TestBreakdownStagesAndContext(t *testing.T) {
-	p := newManual(t, Config{})
-	b := p.NewBreakdown(42)
-	if b == nil || b.Job != 42 {
-		t.Fatalf("breakdown = %+v", b)
-	}
-	ctx := WithBreakdown(context.Background(), b)
-	if BreakdownFrom(ctx) != b {
-		t.Fatal("context round-trip lost the breakdown")
-	}
-	if BreakdownFrom(context.Background()) != nil {
-		t.Fatal("empty context yielded a breakdown")
-	}
+// TestRecordAggregatesWallStages: Record folds a span's host wall time into
+// the per-stage aggregates and keeps the whole record — both clocks — in
+// the flight recorder.
+func TestRecordAggregatesWallStages(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	p := newManual(t, Config{Telemetry: reg})
+	sp := &telemetry.Span{Name: "window", Job: 42, Device: "csd-000"}
+	sp.Add(telemetry.StageQueue, 10*time.Microsecond)
+	sp.Add(telemetry.StageCompute, time.Millisecond)
+	sp.Sim[telemetry.StageCompute] = 215 * time.Microsecond
 
-	b.Add(StageQueue, 5*time.Microsecond)
-	b.Add(StageQueue, 5*time.Microsecond) // accumulates
-	st := b.Begin(StageCompute)
-	time.Sleep(time.Millisecond)
-	st.End()
-	if got := b.Wall(StageQueue); got != 10*time.Microsecond {
-		t.Fatalf("queue wall = %v", got)
-	}
-	if b.Wall(StageCompute) < time.Millisecond {
-		t.Fatalf("compute wall = %v", b.Wall(StageCompute))
-	}
-	if b.Total() != b.Wall(StageQueue)+b.Wall(StageCompute) {
-		t.Fatalf("total %v != sum", b.Total())
-	}
-
-	p.Record(b)
+	p.Record(sp)
 	snap := p.Snapshot()
 	if snap.RequestsTotal != 1 {
 		t.Fatalf("requests_total = %d", snap.RequestsTotal)
@@ -151,42 +124,33 @@ func TestBreakdownStagesAndContext(t *testing.T) {
 	for _, s := range snap.Stages {
 		stages[s.Stage] = s
 	}
-	if stages["queue"].TotalNS != int64(10*time.Microsecond) {
-		t.Fatalf("queue summary = %+v", stages["queue"])
+	if len(stages) != 2 || stages["queue"].TotalNS != int64(10*time.Microsecond) {
+		t.Fatalf("stage summaries = %+v", snap.Stages)
 	}
-	if stages["compute"].Count != 1 {
-		t.Fatalf("compute summary = %+v", stages["compute"])
+	if stages["compute"].Count != 1 || stages["compute"].TotalNS != int64(time.Millisecond) {
+		t.Fatalf("compute summary = %+v (simulated time must not leak into wall)", stages["compute"])
 	}
-	if len(snap.Requests) != 1 || snap.Requests[0].Job != 42 {
+	for _, m := range reg.Snapshot() {
+		if m.Name == "prof_request_wall_seconds" && m.Histogram.Sum != int64(time.Millisecond+10*time.Microsecond) {
+			t.Fatalf("request wall sum = %d", m.Histogram.Sum)
+		}
+	}
+	if len(snap.Requests) != 1 || snap.Requests[0] != *sp {
 		t.Fatalf("flight requests = %+v", snap.Requests)
-	}
-}
-
-func TestCountAllocsAttributesStageAllocations(t *testing.T) {
-	p := newManual(t, Config{CountAllocs: true})
-	b := p.NewBreakdown(0)
-	st := b.Begin(StageEncode)
-	sink := make([]byte, 1<<20)
-	st.End()
-	_ = sink
-	if b.Allocs(StageEncode) == 0 {
-		t.Fatal("alloc counting recorded nothing for a 1MiB allocation")
 	}
 }
 
 func TestFlightRingBoundedAndOrdered(t *testing.T) {
 	now := time.Unix(1000, 0)
-	p := newManual(t, Config{Ring: 4, BreakdownRing: 3,
+	p := newManual(t, Config{Ring: 4, RequestRing: 3,
 		Clock: func() time.Time { now = now.Add(time.Second); return now }})
 	for i := 0; i < 6; i++ {
 		p.Sample()
 	}
 	for i := 0; i < 5; i++ {
-		b := p.NewBreakdown(int64(100 + i))
-		b.Add(StageQueue, time.Microsecond)
-		p.Record(b)
+		p.Record(&telemetry.Span{Job: int64(100 + i), Wall: telemetry.Stages{telemetry.StageQueue: time.Microsecond}})
 	}
-	samples, breakdowns := p.flight.snapshot()
+	samples, requests := p.flight.snapshot()
 	if len(samples) != 4 {
 		t.Fatalf("samples retained = %d, want 4", len(samples))
 	}
@@ -195,11 +159,11 @@ func TestFlightRingBoundedAndOrdered(t *testing.T) {
 			t.Fatalf("samples out of order: %v", samples)
 		}
 	}
-	if len(breakdowns) != 3 {
-		t.Fatalf("breakdowns retained = %d, want 3", len(breakdowns))
+	if len(requests) != 3 {
+		t.Fatalf("requests retained = %d, want 3", len(requests))
 	}
-	if breakdowns[0].Job != 102 || breakdowns[2].Job != 104 {
-		t.Fatalf("breakdown eviction wrong: %+v", breakdowns)
+	if requests[0].Job != 102 || requests[2].Job != 104 {
+		t.Fatalf("request eviction wrong: %+v", requests)
 	}
 }
 
@@ -207,9 +171,7 @@ func TestWriteFlightDumpArtifactAndEvent(t *testing.T) {
 	events := eventlog.New(eventlog.Config{})
 	defer events.Close()
 	p := newManual(t, Config{Events: events})
-	b := p.NewBreakdown(9)
-	b.Add(StageCompute, time.Millisecond)
-	p.Record(b)
+	p.Record(&telemetry.Span{Job: 9, Wall: telemetry.Stages{telemetry.StageCompute: time.Millisecond}})
 
 	dir := t.TempDir()
 	path, err := p.WriteFlight(dir, "incident-open", 17)
@@ -263,9 +225,7 @@ func TestWriteFlightDumpArtifactAndEvent(t *testing.T) {
 
 func TestHandlerServesSnapshot(t *testing.T) {
 	p := newManual(t, Config{})
-	b := p.NewBreakdown(0)
-	b.Add(StageObserve, time.Microsecond)
-	p.Record(b)
+	p.Record(&telemetry.Span{Wall: telemetry.Stages{telemetry.StageObserve: time.Microsecond}})
 	rr := httptest.NewRecorder()
 	p.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/prof.json", nil))
 	if ct := rr.Header().Get("Content-Type"); !strings.Contains(ct, "json") {
@@ -319,19 +279,5 @@ func TestBackgroundSamplerTicks(t *testing.T) {
 	p.Close()
 	if got < 3 {
 		t.Fatalf("background sampler took %d samples, want >= 3", got)
-	}
-}
-
-func TestStageStringCoversAllStages(t *testing.T) {
-	seen := map[string]bool{}
-	for s := Stage(0); s < numStages; s++ {
-		name := s.String()
-		if name == "unknown" || seen[name] {
-			t.Fatalf("stage %d name %q invalid or duplicate", s, name)
-		}
-		seen[name] = true
-	}
-	if Stage(200).String() != "unknown" {
-		t.Fatal("out-of-range stage should be unknown")
 	}
 }

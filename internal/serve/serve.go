@@ -77,16 +77,15 @@ type Config struct {
 	// (device_busy_nanoseconds_total, device_pending_requests). With a nil
 	// registry the same instruments still back Stats(), just unexported.
 	Telemetry *telemetry.Registry
-	// Spans, when non-nil, retains a completed telemetry.Span per request
-	// for requests that did not already carry one in their context (e.g.
-	// direct Predict calls outside a detector).
+	// Spans, when non-nil, retains the completed telemetry.Span of every
+	// request that did not already carry one in its context (e.g. direct
+	// Predict calls outside a detector).
 	Spans *telemetry.SpanLog
 	// Trace, when non-nil, records each request's queue residency on the
-	// device's scheduler track (named by registry ID) and assigns the
-	// request a trace job ID that rides its context — the correlation key
-	// tying the queue event to the transfer and kernel events the device
-	// emits for the same request (and mirrored onto the request's
-	// telemetry.Span as Span.ID).
+	// device's scheduler track (named by registry ID) and stamps the
+	// request's telemetry.Span with a fresh trace job ID (Span.Job) — the
+	// correlation key tying the queue event to the transfer and kernel
+	// events the device emits for the same request.
 	Trace *trace.Tracer
 	// Events, when non-nil, receives the scheduler's structured events:
 	// per-request completions (debug: request.done, with device and
@@ -95,12 +94,11 @@ type Config struct {
 	// (info: server.start / server.close). Device-attributed events carry
 	// the registry ID.
 	Events *eventlog.Logger
-	// Prof, when non-nil, attributes each request's host wall-clock to
-	// pipeline stages (queue, encode, transfer, compute, observe, ...): the
-	// server creates a prof.Breakdown per request that does not already
-	// carry one in its context, threads it down to the engine, and records
-	// it on completion. Requests that arrive with a caller-owned breakdown
-	// (e.g. from a detector) are stamped but recorded by their creator.
+	// Prof, when non-nil, aggregates each request's host wall-clock per
+	// pipeline stage (queue, encode, transfer, compute, observe) from the
+	// request's telemetry.Span. The server records the spans it created;
+	// a caller-owned span (e.g. a detector's) is stamped here but recorded
+	// by its creator.
 	Prof *prof.Profiler
 }
 
@@ -155,22 +153,15 @@ type request struct {
 	// request executes would abandon work the worker still completes —
 	// and a fleet-level retry would then duplicate the window.
 	claim atomic.Int32
-	// span, when non-nil, accumulates the request's pipeline phases. It is
-	// the context span when the caller supplied one, else a server-created
-	// span destined for Config.Spans.
+	// span is the request's record, nil when nothing observes the
+	// request: the context span when the caller supplied one, else rec.
 	span *telemetry.Span
-	// ownSpan marks a server-created span that should be logged on
-	// completion (caller-owned spans are the caller's to log).
-	ownSpan bool
-	// bd, when non-nil, accumulates the request's per-stage host costs —
-	// the context breakdown when the caller supplied one, else a
-	// server-created breakdown destined for Config.Prof.
-	bd *prof.Breakdown
-	// ownBD marks a server-created breakdown that should be recorded on
-	// completion (caller-owned breakdowns are the caller's to record).
-	ownBD bool
-	// job is the trace correlation ID (0 when tracing is off).
-	job int64
+	// rec is the server-owned record (own set), living inside the request
+	// so it costs no allocation of its own; the server logs it to
+	// Config.Spans and Config.Prof on completion. Caller-owned spans are
+	// the caller's to log.
+	rec telemetry.Span
+	own bool
 }
 
 // Server schedules classification requests onto one single-stream
@@ -293,30 +284,17 @@ func (s *Server) submit(ctx context.Context, req *request) (kernels.Result, infe
 	if s.closed.Load() {
 		return kernels.Result{}, infer.Timing{}, ErrClosed
 	}
-	if req.span = telemetry.SpanFrom(ctx); req.span == nil && s.cfg.Spans != nil {
-		name := "predict"
+	req.span = telemetry.SpanFrom(ctx)
+	if req.span == nil && (s.cfg.Spans != nil || s.cfg.Trace.Enabled() || s.cfg.Prof != nil) {
+		req.rec = telemetry.Span{Name: "predict", Start: time.Now()}
 		if req.stored {
-			name = "predict-stored"
+			req.rec.Name = "predict-stored"
 		}
-		req.span = &telemetry.Span{Name: name}
-		req.ownSpan = true
+		req.span, req.own = &req.rec, true
+		req.ctx = telemetry.WithSpan(ctx, req.span)
 	}
 	if s.cfg.Trace.Enabled() {
-		req.job = s.cfg.Trace.NewJob()
-		req.ctx = trace.WithJob(req.ctx, req.job)
-		if req.span != nil {
-			req.span.ID = req.job
-		}
-	}
-	if req.bd = prof.BreakdownFrom(req.ctx); req.bd != nil {
-		// Caller-owned breakdown: stamp the trace job the scheduler just
-		// allocated so the flight recorder can correlate it.
-		if req.bd.Job == 0 {
-			req.bd.Job = req.job
-		}
-	} else if s.cfg.Prof != nil {
-		req.bd = s.cfg.Prof.NewBreakdown(req.job)
-		req.ownBD = true
+		req.span.Job = s.cfg.Trace.NewJob()
 	}
 	if !s.h.IsReady() {
 		return kernels.Result{}, infer.Timing{}, ErrNoReadyDevice
@@ -445,14 +423,16 @@ func (s *Server) execute(req *request) {
 	}
 	id := string(s.h.ID())
 	// Queue wait ends here, whether the request proceeds or was abandoned:
-	// the scheduling delay was paid either way.
+	// the scheduling delay was paid either way. The span is therefore
+	// stamped before the ctx check below: a caller that has already
+	// abandoned the request may still find its span written to.
 	wait := time.Since(req.enqueuedAt)
-	req.bd.Add(prof.StageQueue, wait)
-	obs := req.bd.Begin(prof.StageObserve)
+	sp := req.span
+	sp.Add(telemetry.StageQueue, wait)
+	obs := sp.Begin(telemetry.StageObserve)
 	s.queueWait.ObserveDuration(wait)
-	if req.span != nil {
-		req.span.Record(telemetry.PhaseQueue, wait)
-		req.span.Device = id
+	if sp != nil {
+		sp.Device = id
 	}
 	if tr := s.cfg.Trace; tr.Enabled() {
 		// Pure wall-clock domain: the wait really elapsed on the host.
@@ -467,7 +447,7 @@ func (s *Server) execute(req *request) {
 		tr.Emit(trace.Event{
 			Track: trace.Track{Group: "serve", Name: id},
 			Name:  name, Cat: trace.CatQueue,
-			Start: start, Dur: wait, Job: req.job,
+			Start: start, Dur: wait, Job: sp.Job,
 		})
 	}
 	obs.End()
@@ -477,23 +457,14 @@ func (s *Server) execute(req *request) {
 		req.done <- response{err: err}
 		return
 	}
-	// The engine records transfer/compute phases into the span (and stage
-	// costs into the breakdown) it finds in the context; thread the
-	// request's down even when the server created them.
-	ctx := req.ctx
-	if req.ownSpan {
-		ctx = telemetry.WithSpan(ctx, req.span)
-	}
-	if req.ownBD {
-		ctx = prof.WithBreakdown(ctx, req.bd)
-	}
+	// req.ctx carries the span down to the engine, which stamps its stages.
 	var resp response
 	if req.stored {
-		resp.res, resp.timing, resp.err = s.inf.PredictStored(ctx, req.off)
+		resp.res, resp.timing, resp.err = s.inf.PredictStored(req.ctx, req.off)
 	} else {
-		resp.res, resp.timing, resp.err = s.inf.Predict(ctx, req.seq)
+		resp.res, resp.timing, resp.err = s.inf.Predict(req.ctx, req.seq)
 	}
-	obs = req.bd.Begin(prof.StageObserve)
+	obs = sp.Begin(telemetry.StageObserve)
 	s.h.AddBusy(int64(resp.timing.Total()))
 	if resp.err == nil {
 		s.jobs.Inc()
@@ -509,12 +480,10 @@ func (s *Server) execute(req *request) {
 			eventlog.F("stored", req.stored),
 			eventlog.F("error", resp.err))
 	}
-	if req.ownSpan {
-		s.cfg.Spans.Add(*req.span)
-	}
 	obs.End()
-	if req.ownBD {
-		s.cfg.Prof.Record(req.bd)
+	if req.own {
+		s.cfg.Spans.Add(*sp)
+		s.cfg.Prof.Record(sp)
 	}
 	// Drop the backlog count before releasing the caller, so a placer
 	// reading the device's score for the caller's next request sees the

@@ -42,43 +42,17 @@ func readBuildInfo() buildInfo {
 	return b
 }
 
-// NewHTTPHandler returns the metrics endpoint served by cmd/csddetect's
-// -metrics-addr flag:
-//
-//	/metrics       Prometheus text exposition
-//	/metrics.json  JSON snapshot (plus recent spans when a log is given)
-//	/spans.json    the SpanLog ring: recent per-request pipeline spans
-//	/healthz       liveness probe: status, build identification (module,
-//	               version, go version, VCS revision), and process uptime
-//
-// Every scrape of /metrics or /metrics.json also refreshes the baseline Go
-// runtime series (go_goroutines, go_heap_alloc_bytes, go_gc_pauses_total),
-// so runtime health is visible even with no other instrumentation wired.
-//
-// spans may be nil (then /spans.json reports an empty ring). Extra handlers
-// (e.g. the event log's /events.json and the incident recorder's
-// /incidents.json, which live above this package in the import graph) mount
-// via NewHTTPHandlerWith. The handler is safe for concurrent use alongside
-// live instrumentation — that is the point of it.
-func NewHTTPHandler(r *Registry, spans *SpanLog) http.Handler {
-	return NewHTTPHandlerWith(r, spans, nil)
-}
-
-// NewHTTPHandlerWith is NewHTTPHandler plus extra pattern → handler mounts
-// on the same mux. An extra pattern that collides with a built-in endpoint
-// panics at construction — a wiring bug, caught at the call site instead of
-// surfacing as shadowed scrapes later. Extra mounts are applied in sorted
-// pattern order, so mounting is deterministic.
-func NewHTTPHandlerWith(r *Registry, spans *SpanLog, extra map[string]http.Handler) http.Handler {
-	return NewHTTPHandlerOpts(r, HTTPOptions{Spans: spans, Extra: extra})
-}
-
-// HTTPOptions configures NewHTTPHandlerOpts.
+// HTTPOptions configures NewHTTPHandler.
 type HTTPOptions struct {
 	// Spans backs /spans.json; nil reports an empty ring.
 	Spans *SpanLog
 	// Extra mounts additional pattern → handler pairs on the same mux
-	// (e.g. /events.json, /incidents.json, /slo.json).
+	// (e.g. /events.json, /incidents.json, /slo.json, which live above
+	// this package in the import graph). A pattern that collides with a
+	// built-in endpoint panics at construction — a wiring bug, caught at
+	// the call site instead of surfacing as shadowed scrapes later. Extra
+	// mounts are applied in sorted pattern order, so mounting is
+	// deterministic.
 	Extra map[string]http.Handler
 	// Health, when non-nil, supplies the /healthz judgment: a status string
 	// ("ok", "degraded", ...) and whether the process can serve. When not
@@ -88,8 +62,22 @@ type HTTPOptions struct {
 	Health func() (status string, ready bool)
 }
 
-// NewHTTPHandlerOpts is NewHTTPHandler with the full option set.
-func NewHTTPHandlerOpts(r *Registry, opts HTTPOptions) http.Handler {
+// NewHTTPHandler returns the metrics endpoint served by cmd/csddetect's
+// -metrics-addr flag:
+//
+//	/metrics       Prometheus text exposition
+//	/metrics.json  JSON snapshot (plus recent spans when a log is given)
+//	/spans.json    the SpanLog ring: recent per-request records, each
+//	               explaining its request on both clocks
+//	/healthz       liveness probe: status, build identification (module,
+//	               version, go version, VCS revision), and process uptime
+//
+// Every scrape of /metrics or /metrics.json also refreshes the baseline Go
+// runtime series (go_goroutines, go_heap_alloc_bytes, go_gc_pauses_total),
+// so runtime health is visible even with no other instrumentation wired.
+// The handler is safe for concurrent use alongside live instrumentation —
+// that is the point of it.
+func NewHTTPHandler(r *Registry, opts HTTPOptions) http.Handler {
 	spans := opts.Spans
 	rt := newRuntimeStats(r)
 	mux := http.NewServeMux()

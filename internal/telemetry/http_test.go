@@ -16,8 +16,8 @@ import (
 func TestHTTPHandlerEndpoints(t *testing.T) {
 	r := goldenRegistry()
 	spans := NewSpanLog(4)
-	spans.Add(Span{Name: "window", Phases: []Phase{{Name: PhaseCompute, Duration: time.Microsecond}}})
-	srv := httptest.NewServer(NewHTTPHandler(r, spans))
+	spans.Add(Span{Name: "window", Sim: Stages{StageCompute: time.Microsecond}})
+	srv := httptest.NewServer(NewHTTPHandler(r, HTTPOptions{Spans: spans}))
 	defer srv.Close()
 
 	get := func(path string) (*http.Response, string) {
@@ -83,8 +83,11 @@ func TestHTTPHandlerEndpoints(t *testing.T) {
 		t.Fatalf("/spans.json: total %d retained %d spans %d",
 			spansDoc.Total, spansDoc.Retained, len(spansDoc.Spans))
 	}
-	if spansDoc.Spans[0].Name != "window" {
-		t.Errorf("/spans.json span = %+v", spansDoc.Spans[0])
+	if sp := spansDoc.Spans[0]; sp.Name != "window" || sp.Sim[StageCompute] != time.Microsecond {
+		t.Errorf("/spans.json span = %+v", sp)
+	}
+	if !strings.Contains(body, `"sim_ns": {`+"\n"+`        "compute": 1000`) {
+		t.Errorf("/spans.json does not key stages by name:\n%s", body)
 	}
 
 	resp, body = get("/healthz")
@@ -130,7 +133,7 @@ func TestHTTPHandlerZeroSpans(t *testing.T) {
 		{"empty-log", NewSpanLog(4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), tc.spans))
+			srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), HTTPOptions{Spans: tc.spans}))
 			defer srv.Close()
 			resp, err := http.Get(srv.URL + "/spans.json")
 			if err != nil {
@@ -163,7 +166,7 @@ func TestHTTPHandlerZeroSpans(t *testing.T) {
 // nil registry must serve "metrics": [] — not null — matching the
 // normalization every other JSON endpoint in the stack guarantees.
 func TestHTTPHandlerZeroMetrics(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPHandler(nil, nil))
+	srv := httptest.NewServer(NewHTTPHandler(nil, HTTPOptions{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics.json")
 	if err != nil {
@@ -185,7 +188,7 @@ func TestHTTPHandlerZeroMetrics(t *testing.T) {
 func TestSpanLogConcurrentWriters(t *testing.T) {
 	const writers, adds, capacity = 8, 500, 32
 	spans := NewSpanLog(capacity)
-	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), spans))
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), HTTPOptions{Spans: spans}))
 	defer srv.Close()
 
 	var wg sync.WaitGroup
@@ -195,8 +198,8 @@ func TestSpanLogConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < adds; i++ {
 				spans.Add(Span{
-					Name: "window", ID: int64(w*adds + i + 1),
-					Phases: []Phase{{Name: PhaseCompute, Duration: time.Microsecond}},
+					Name: "window", Job: int64(w*adds + i + 1),
+					Sim: Stages{StageCompute: time.Microsecond},
 				})
 			}
 		}(w)
@@ -245,7 +248,7 @@ func TestSpanLogConcurrentWriters(t *testing.T) {
 func TestHealthzDegraded(t *testing.T) {
 	var mu sync.Mutex
 	status, ready := "ok", true
-	srv := httptest.NewServer(NewHTTPHandlerOpts(NewRegistry(), HTTPOptions{
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), HTTPOptions{
 		Health: func() (string, bool) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -286,7 +289,7 @@ func TestHealthzDegraded(t *testing.T) {
 	check("/healthz?ready=1", http.StatusServiceUnavailable, "degraded", false)
 }
 
-// TestHTTPHandlerExtraMounts checks NewHTTPHandlerWith mounts additional
+// TestHTTPHandlerExtraMounts checks NewHTTPHandler mounts additional
 // endpoints alongside the built-ins (how /events.json and /incidents.json
 // reach the telemetry server without inverting the import graph).
 func TestHTTPHandlerExtraMounts(t *testing.T) {
@@ -295,7 +298,7 @@ func TestHTTPHandlerExtraMounts(t *testing.T) {
 			w.Write([]byte(`{"extra":true}`))
 		}),
 	}
-	srv := httptest.NewServer(NewHTTPHandlerWith(NewRegistry(), nil, extra))
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), HTTPOptions{Extra: extra}))
 	defer srv.Close()
 	for _, path := range []string{"/extra.json", "/healthz"} {
 		resp, err := http.Get(srv.URL + path)
@@ -326,9 +329,9 @@ func TestExtraMountCollisionPanics(t *testing.T) {
 					t.Fatalf("panic for %s = %v, want telemetry-prefixed message naming the pattern", pattern, r)
 				}
 			}()
-			NewHTTPHandlerWith(NewRegistry(), nil, map[string]http.Handler{
+			NewHTTPHandler(NewRegistry(), HTTPOptions{Extra: map[string]http.Handler{
 				pattern: http.NotFoundHandler(),
-			})
+			}})
 		}()
 	}
 }
@@ -337,7 +340,7 @@ func TestExtraMountCollisionPanics(t *testing.T) {
 // endpoint carries baseline Go runtime health without any explicit wiring,
 // refreshed at scrape time.
 func TestRuntimeSeriesOnDefaultScrape(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), nil))
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), HTTPOptions{}))
 	defer srv.Close()
 
 	runtime.GC() // guarantee at least one pause for go_gc_pauses_total

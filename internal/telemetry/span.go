@@ -2,86 +2,196 @@ package telemetry
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Canonical pipeline phase names, in request order: time waiting in a
-// device queue, SSD→FPGA data movement, FPGA kernel execution, and the
-// detector's verdict logic.
+// Stage names one segment of a request's pipeline, in request order. A Span
+// keeps one duration per stage on each of its two clocks.
+type Stage uint8
+
 const (
-	PhaseQueue    = "queue"
-	PhaseTransfer = "transfer"
-	PhaseCompute  = "compute"
-	PhaseVerdict  = "verdict"
+	// StageQueue is serve-layer residency: enqueue to worker dispatch.
+	StageQueue Stage = iota
+	// StageEncode is the host-side sequence serialization (core/csd).
+	StageEncode
+	// StageTransfer is SSD→FPGA data movement: the simulated DMA time, and
+	// on the host the buffer writes and DMA bookkeeping.
+	StageTransfer
+	// StageCompute is FPGA kernel execution: the simulated kernel time, and
+	// on the host the cost of running the kernel pipeline model.
+	StageCompute
+	// StageVerdict is the detector's threshold/mitigation logic.
+	StageVerdict
+	// StageObserve is the cost of observability itself: metric
+	// observations, span and trace records, and event-log calls made on
+	// behalf of the request.
+	StageObserve
+
+	// NumStages bounds the Stage enum.
+	NumStages
 )
 
-// Phase is one recorded stage of a request's pipeline.
-type Phase struct {
-	Name     string        `json:"name"`
-	Duration time.Duration `json:"duration_ns"`
+var stageNames = [NumStages]string{
+	"queue", "encode", "transfer", "compute", "verdict", "observe",
 }
 
-// Span records the pipeline phases of one request as it descends the stack:
-// the detector (or caller) creates it and stashes it in the context, the
-// scheduler records queue wait, the engine records transfer and compute,
-// and the detector closes it with the verdict. Each stage hands the request
-// to the next through a channel or call, so Span needs no lock — it is NOT
-// safe for truly concurrent writers, matching the one-stage-at-a-time life
-// of a request.
-type Span struct {
-	// Name identifies the request kind (e.g. "window", "stored-scan").
-	Name string `json:"name"`
-	// ID is the trace correlation ID shared with the request's timeline
-	// events when tracing is on (internal/trace job ID); 0 otherwise.
-	ID int64 `json:"id,omitempty"`
-	// Device is the serving device that executed the request, stamped by
-	// the scheduler at dispatch (its device index as a string); empty when
-	// the request never went through a scheduler.
-	Device string `json:"device,omitempty"`
-	// Phases are the recorded stages in arrival order. Queue wait is wall
-	// time; transfer and compute are simulated device time (see the package
-	// comment).
-	Phases []Phase `json:"phases"`
+// String returns the stage's label ("queue", "encode", ...).
+func (s Stage) String() string {
+	if s < NumStages {
+		return stageNames[s]
+	}
+	return "unknown"
 }
 
-// Record appends one phase.
-func (s *Span) Record(phase string, d time.Duration) {
-	s.Phases = append(s.Phases, Phase{Name: phase, Duration: d})
-}
+// Stages holds one duration per Stage. It marshals as a JSON object of
+// nanoseconds keyed by stage name, omitting stages that recorded nothing.
+type Stages [NumStages]time.Duration
 
-// Total sums all recorded phases.
-func (s *Span) Total() time.Duration {
+// Total sums the stages.
+func (s Stages) Total() time.Duration {
 	var t time.Duration
-	for _, p := range s.Phases {
-		t += p.Duration
+	for _, d := range s {
+		t += d
 	}
 	return t
 }
 
-// String renders the span on one line: "window: queue=1.2µs transfer=39µs
-// compute=215µs verdict=90ns (total 255µs)".
+// MarshalJSON renders the nonzero stages as {"transfer":39000,...}.
+func (s Stages) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for st, d := range s {
+		if d == 0 {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, stageNames[st])
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(d), 10)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON parses the MarshalJSON form; an unknown stage name is an
+// error.
+func (s *Stages) UnmarshalJSON(data []byte) error {
+	var m map[string]int64
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	*s = Stages{}
+next:
+	for name, ns := range m {
+		for st, known := range stageNames {
+			if name == known {
+				s[st] = time.Duration(ns)
+				continue next
+			}
+		}
+		return fmt.Errorf("telemetry: unknown stage %q", name)
+	}
+	return nil
+}
+
+// Span is the one per-request record: it explains a request's latency on
+// both clocks. Sim holds simulated device time (the engine stamps transfer
+// and compute from its timing model); Wall holds host wall time (queue wait,
+// encode, the host cost of transfer and compute, verdict, observe).
+//
+// The creator — the detector for a window, else the scheduler — stashes the
+// span in the request context; the scheduler stamps Job, Device and queue
+// wait, the engine stamps its stages, and the creator logs it when done.
+// Each stage hands the request to the next through a channel or call, so
+// Span needs no lock — it is NOT safe for truly concurrent writers. A nil
+// *Span is valid and records nothing.
+type Span struct {
+	// Name identifies the request kind (e.g. "window", "predict").
+	Name string `json:"name"`
+	// Job is the trace correlation ID shared with the request's timeline
+	// events and structured events (internal/trace job ID); 0 when tracing
+	// is off.
+	Job int64 `json:"job,omitempty"`
+	// Device is the registry ID of the serving device, stamped by the
+	// scheduler at dispatch; empty when the request never went through one.
+	Device string `json:"device,omitempty"`
+	// Start stamps span creation (request admission).
+	Start time.Time `json:"start"`
+	// Sim is simulated device time per stage.
+	Sim Stages `json:"sim_ns"`
+	// Wall is host wall time per stage.
+	Wall Stages `json:"wall_ns"`
+}
+
+// Add attributes host wall time d to the stage, accumulating across calls.
+func (s *Span) Add(st Stage, d time.Duration) {
+	if s == nil || st >= NumStages {
+		return
+	}
+	s.Wall[st] += d
+}
+
+// StageTimer measures one stage interval on the host clock. It is a value
+// type: Begin/End cost two clock reads and no allocation.
+type StageTimer struct {
+	s  *Span
+	st Stage
+	t0 time.Time
+}
+
+// Begin starts timing a stage. On a nil span the returned timer is inert
+// and End is free, so instrumentation sites need no branches.
+func (s *Span) Begin(st Stage) StageTimer {
+	if s == nil {
+		return StageTimer{}
+	}
+	return StageTimer{s: s, st: st, t0: time.Now()}
+}
+
+// End stops the timer and adds the elapsed interval to the stage's Wall.
+func (t StageTimer) End() {
+	if t.s != nil {
+		t.s.Add(t.st, time.Since(t.t0))
+	}
+}
+
+// String renders the span on one line: "window#3@csd-000: sim transfer=39µs
+// compute=215µs (254µs); wall queue=1.2µs compute=600µs (610µs)".
 func (s *Span) String() string {
 	var b strings.Builder
 	b.WriteString(s.Name)
-	if s.ID != 0 {
-		fmt.Fprintf(&b, "#%d", s.ID)
+	if s.Job != 0 {
+		fmt.Fprintf(&b, "#%d", s.Job)
+	}
+	if s.Device != "" {
+		fmt.Fprintf(&b, "@%s", s.Device)
 	}
 	b.WriteString(":")
-	for _, p := range s.Phases {
-		fmt.Fprintf(&b, " %s=%s", p.Name, p.Duration)
-	}
-	fmt.Fprintf(&b, " (total %s)", s.Total())
+	writeStages(&b, " sim", s.Sim)
+	writeStages(&b, "; wall", s.Wall)
 	return b.String()
+}
+
+func writeStages(b *strings.Builder, clock string, st Stages) {
+	b.WriteString(clock)
+	for i, d := range st {
+		if d != 0 {
+			fmt.Fprintf(b, " %s=%s", Stage(i), d)
+		}
+	}
+	fmt.Fprintf(b, " (%s)", st.Total())
 }
 
 type spanCtxKey struct{}
 
 // WithSpan returns a context carrying the span, so lower layers (scheduler,
-// engine) can record their phases into it without the Inferencer interface
-// knowing about telemetry.
+// engine, event log) can stamp and read the request record without the
+// Inferencer interface knowing about telemetry.
 func WithSpan(ctx context.Context, s *Span) context.Context {
 	return context.WithValue(ctx, spanCtxKey{}, s)
 }

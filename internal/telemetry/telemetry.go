@@ -12,8 +12,10 @@
 //     paper's Table I reporting convention.
 //   - Registry: a labeled metric namespace with Prometheus-text and JSON
 //     exposition plus a human-readable summary table.
-//   - Span and SpanLog: a lightweight per-request trace of the pipeline
-//     phases (queue wait → SSD transfer → FPGA compute → verdict).
+//   - Span and SpanLog: the one per-request record — a request's pipeline
+//     stages (queue wait → encode → SSD transfer → FPGA compute → verdict →
+//     observe) on both clocks, with its trace job ID and serving device —
+//     and a ring of recent records.
 //
 // Everything is safe for concurrent use and built only on the standard
 // library; the rest of the stack (internal/serve, internal/fleet,
@@ -25,8 +27,9 @@
 // A note on clocks: the device-side histograms (transfer, compute) record
 // *simulated* device time from infer.Timing — the calibrated timing model
 // that stands in for real hardware — while queue-wait histograms record
-// wall time, because queueing happens in the real host scheduler. See
-// DESIGN.md ("Telemetry").
+// wall time, because queueing happens in the real host scheduler. A Span
+// keeps the two apart in its Sim and Wall arrays. See DESIGN.md
+// ("Telemetry").
 package telemetry
 
 import "sync/atomic"

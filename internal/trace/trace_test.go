@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"io"
@@ -95,17 +94,7 @@ func TestEventsSorted(t *testing.T) {
 	}
 }
 
-func TestJobContext(t *testing.T) {
-	ctx := context.Background()
-	if JobFrom(ctx) != 0 {
-		t.Fatal("empty context carries a job")
-	}
-	if WithJob(ctx, 0) != ctx {
-		t.Fatal("job 0 should not wrap the context")
-	}
-	if got := JobFrom(WithJob(ctx, 42)); got != 42 {
-		t.Fatalf("JobFrom = %d, want 42", got)
-	}
+func TestNewJobSequence(t *testing.T) {
 	tr := New()
 	if a, b := tr.NewJob(), tr.NewJob(); a != 1 || b != 2 {
 		t.Fatalf("job IDs = %d, %d, want 1, 2", a, b)
